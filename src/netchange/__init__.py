@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .baselines import (
     ActivityVector,
-    ProfileVector,
     act_scores,
     activity,
     actm_scores,
@@ -34,12 +33,10 @@ from .dcsbm import (
 )
 from .embedding import (
     Embedding,
-    SpectrumResult,
     embed,
     estimate_rank_d,
     random_sign_flip,
     spectral_norm,
-    symmetric_spectrum,
 )
 from .errors import (
     DegenerateShape,
@@ -64,10 +61,8 @@ from .evaluation import (
     sign_test,
 )
 from .graph import (
-    DegreeSummary,
     RepresentationMatrix,
     SnapshotMatrix,
-    degree_summary,
     log_transform,
     max_scale,
     regularizer_tau,
@@ -76,8 +71,10 @@ from .graph import (
 from .pipeline import (
     CdpConfig,
     ScoreSeries,
+    cdp_scores,
     normalize_and_detect,
     run_cdp,
+    sweep,
 )
 from .procrustes import (
     AlignmentResult,

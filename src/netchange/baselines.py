@@ -11,14 +11,15 @@ switch allows running them on the scaled matrix for ablation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGraph
 from .graph import SnapshotMatrix, log_transform, max_scale
-from .pipeline import CdpConfig, ScoreSeries, normalize_and_detect
+# normalize_and_detect is imported for callers that rebind it here by
+# module (layer tracing); the sweep itself normalizes through pipeline.
+from .pipeline import CdpConfig, ScoreSeries, normalize_and_detect, sweep  # noqa: F401
 from .procrustes import ScoreVector
 
 ACTIVITY_TOL = 1e-13
@@ -33,13 +34,10 @@ class ActivityVector:
     u: np.ndarray
     t: int = 1
 
-
-@dataclass(frozen=True)
-class ProfileVector:
-    """Window summary an activity vector is compared against."""
-
-    r: np.ndarray
-    basis_rank: int
+    @property
+    def d(self) -> int:
+        """Feature dimension: one column, as recorded in `dims`."""
+        return 1
 
 
 def activity(snapshot: SnapshotMatrix, preprocessed: bool = False) -> ActivityVector:
@@ -117,56 +115,6 @@ def actm_scores(window: list[ActivityVector], current: ActivityVector) -> ScoreV
     return ScoreVector(z=np.abs(projected - current.u), t=current.t)
 
 
-def window_profile(window: list[ActivityVector], current: ActivityVector) -> ProfileVector:
-    """The summary vector the modified detector compares against."""
-    basis, rank = _window_basis(window)
-    return ProfileVector(r=basis @ (basis.T @ current.u), basis_rank=rank)
-
-
-def activity_sequence(
-    snapshots: list[SnapshotMatrix], preprocessed: bool = False
-) -> tuple[list[ActivityVector], dict[int, float]]:
-    """Activity vector of every snapshot, with per-instant seconds."""
-    vectors: list[ActivityVector] = []
-    seconds: dict[int, float] = {}
-    for snap in snapshots:
-        start = time.perf_counter()
-        try:
-            vectors.append(activity(snap, preprocessed=preprocessed))
-        except EmptyGraph as exc:
-            raise EmptyGraph(f"snapshot t={snap.t} has no edges: {exc}") from exc
-        seconds[snap.t] = time.perf_counter() - start
-    return vectors, seconds
-
-
-def score_activity(
-    vectors: list[ActivityVector], config: CdpConfig, kind: str
-) -> ScoreSeries:
-    """Window sweep of an activity-vector detector; `kind` is "act" or "actm"."""
-    if kind not in ("act", "actm"):
-        raise ValueError(f"unknown baseline {kind!r}")
-    w = config.window
-    if len(vectors) <= w:
-        raise ValueError(f"need more snapshots ({len(vectors)}) than the window ({w})")
-    scorer = act_scores if kind == "act" else actm_scores
-    series = ScoreSeries()
-    for vec in vectors:
-        series.dims[vec.t] = 1
-    for pos in range(w, len(vectors)):
-        t = vectors[pos].t
-        start = time.perf_counter()
-        score = scorer(vectors[pos - w : pos], vectors[pos])
-        zhat, detected, degenerate = normalize_and_detect(
-            score, config.zscore_threshold
-        )
-        series.scores[t] = score
-        series.zscores[t] = zhat
-        series.detections[t] = detected
-        series.degenerate[t] = degenerate
-        series.score_seconds[t] = time.perf_counter() - start
-    return series
-
-
 def run_baseline(
     snapshots: list[SnapshotMatrix],
     config: CdpConfig,
@@ -174,7 +122,14 @@ def run_baseline(
     preprocessed: bool = False,
 ) -> ScoreSeries:
     """Activity extraction plus window scoring over a snapshot sequence."""
-    vectors, embed_seconds = activity_sequence(snapshots, preprocessed=preprocessed)
-    series = score_activity(vectors, config, kind)
-    series.embed_seconds = embed_seconds
-    return series
+    # built per call, so a rebinding of either scorer at module level is seen
+    scorers = {"act": act_scores, "actm": actm_scores}
+    if kind not in scorers:
+        raise ValueError(f"unknown baseline {kind!r}")
+    return sweep(
+        snapshots,
+        lambda snap: activity(snap, preprocessed=preprocessed),
+        {kind: scorers[kind]},
+        (config.window,),
+        config.zscore_threshold,
+    )[(kind, config.window)]

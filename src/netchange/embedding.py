@@ -25,26 +25,6 @@ DEFAULT_RANK_EPSILON = 0.005
 
 
 @dataclass(frozen=True)
-class SpectrumResult:
-    """Spectral decomposition of a symmetric matrix, ordered by |eigenvalue|.
-
-    Attributes:
-        singular_values: absolute eigenvalues, nonincreasing, truncated at
-            the numerical rank.
-        eigenvalues: the signed eigenvalues in the same order.
-        vectors: orthonormal columns; column signs fixed so the first entry
-            of magnitude above 1e-12 is nonnegative.
-        numerical_rank: number of singular values above
-            RANK_TOLERANCE * sigma_1.
-    """
-
-    singular_values: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    numerical_rank: int
-
-
-@dataclass(frozen=True)
 class Embedding:
     """Per-vertex features for one time instant: one row per vertex."""
 
@@ -85,23 +65,6 @@ def _eigsorted(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(M)
     order = np.argsort(-np.abs(evals), kind="stable")
     return evals[order], _fix_column_signs(evecs[:, order])
-
-
-def symmetric_spectrum(M: np.ndarray) -> SpectrumResult:
-    """Decompose a symmetric matrix, keeping components above the rank tolerance."""
-    M = _check_symmetric(M)
-    evals, evecs = _eigsorted(M)
-    sv = np.abs(evals)
-    if sv.size == 0 or sv[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sv > RANK_TOLERANCE * sv[0]))
-    return SpectrumResult(
-        singular_values=sv[:rank],
-        eigenvalues=evals[:rank],
-        vectors=evecs[:, :rank],
-        numerical_rank=rank,
-    )
 
 
 def spectral_norm(

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import activity_sequence, score_activity
+from . import baselines
 from .dcsbm import ScenarioSpec, generate_sequence
 from .embedding import DEFAULT_RANK_EPSILON
 from .errors import EmptyPartition, UndefinedTest
-from .pipeline import CdpConfig, ScoreSeries, embed_sequence, score_embeddings
+from .pipeline import CdpConfig, cdp_scores, embed_snapshot, sweep
 
 DEFAULT_PHI_SAMPLES = 100_000
 METHOD_ORDER = {"cdp": 0, "act": 1, "actm": 2}
@@ -142,27 +142,23 @@ def _phi_rng(seed: int, method: str, window: int) -> np.random.Generator:
     )
 
 
-def _method_series(
-    method: str,
-    snapshots,
-    windows: tuple[int, ...],
-    seed: int,
-    epsilon_rank: float,
-) -> tuple[dict[int, ScoreSeries], dict[int, float]]:
-    """Score one sequence under every window, extracting features only once."""
-    per_window: dict[int, ScoreSeries] = {}
-    if method == "cdp":
-        base = CdpConfig(window=min(windows), epsilon_rank=epsilon_rank, seed=seed)
-        embeddings, embed_seconds = embed_sequence(snapshots, base)
-        for w in windows:
-            config = CdpConfig(window=w, epsilon_rank=epsilon_rank, seed=seed)
-            per_window[w] = score_embeddings(embeddings, config)
-    else:
-        vectors, embed_seconds = activity_sequence(snapshots)
-        for w in windows:
-            config = CdpConfig(window=w, epsilon_rank=epsilon_rank, seed=seed)
-            per_window[w] = score_activity(vectors, config, kind=method)
-    return per_window, embed_seconds
+def _feature_groups(methods: tuple[str, ...], seed: int, epsilon_rank: float) -> list:
+    """(extract, scorers) per feature the methods need.
+
+    cdp scores the spectral embedding; act and actm share one activity
+    vector per snapshot.  Built per call, so a module-level rebinding of
+    any of these functions (layer tracing, tests) is seen.
+    """
+    config = CdpConfig(epsilon_rank=epsilon_rank, seed=seed)
+    groups = (
+        (lambda snap: embed_snapshot(snap, config), {"cdp": cdp_scores}),
+        (baselines.activity, {"act": baselines.act_scores, "actm": baselines.actm_scores}),
+    )
+    return [
+        (extract, wanted)
+        for extract, scorers in groups
+        if (wanted := {m: f for m, f in scorers.items() if m in methods})
+    ]
 
 
 def run_experiment(
@@ -198,13 +194,10 @@ def run_experiment(
     for run in range(runs):
         rseed = run_seed(seed, run)
         snapshots, _truth = generate_sequence(spec, np.random.default_rng(rseed))
-        for method in methods:
-            per_window, embed_seconds = _method_series(
-                method, snapshots, windows, rseed, epsilon_rank
-            )
-            embed_times[method].extend(embed_seconds.values())
-            for w in windows:
-                result = per_window[w]
+        for extract, scorers in _feature_groups(methods, rseed, epsilon_rank):
+            for (method, w), result in sweep(snapshots, extract, scorers, windows).items():
+                if w == windows[0]:
+                    embed_times[method].extend(result.embed_seconds.values())
                 score_times[method].extend(result.score_seconds.values())
                 rng = _phi_rng(rseed, method, w)
                 perf = series[(method, w)]

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import EmptyGraph, InvalidWeight, NotSymmetric
 
-SPARSE_DEGREE_CUTOFF = 5.0
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -54,15 +52,6 @@ class SnapshotMatrix:
     @property
     def n(self) -> int:
         return self.W.shape[0]
-
-
-@dataclass(frozen=True)
-class DegreeSummary:
-    """Vertex degrees, their mean, and the sparsity classification."""
-
-    degrees: np.ndarray
-    avg_degree: float
-    is_sparse: bool
 
 
 @dataclass(frozen=True)
@@ -128,14 +117,3 @@ def representation_matrix(snapshot: SnapshotMatrix) -> RepresentationMatrix:
     # enforce exact symmetry; the scaling above is symmetric only up to rounding
     M = (M + M.T) / 2.0
     return RepresentationMatrix(M=_readonly(M), tau=tau, scaled_W=_readonly(scaled))
-
-
-def degree_summary(snapshot: SnapshotMatrix) -> DegreeSummary:
-    """Row-sum degrees, their mean, and whether the snapshot counts as sparse."""
-    degrees = snapshot.W.sum(axis=1)
-    avg = float(degrees.mean())
-    return DegreeSummary(
-        degrees=_readonly(degrees),
-        avg_degree=avg,
-        is_sparse=avg < SPARSE_DEGREE_CUTOFF,
-    )

@@ -5,14 +5,18 @@ embeddings are aligned into a window profile, the current embedding is
 scored against it, and the scores are normalized into z-scores with a
 detection threshold.  Each snapshot's randomized rank selection draws from
 a generator seeded by (config seed, time index), so results are
-bit-reproducible for a fixed configuration.  Embedding and scoring are
-split so one embedded sequence can be scored under several windows.
+bit-reproducible for a fixed configuration.  The same sweep serves the
+activity-vector baselines: it extracts one feature per snapshot and scores
+every method and window that share that feature in a single pass.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -103,66 +107,75 @@ def embed_snapshot(snapshot: SnapshotMatrix, config: CdpConfig) -> Embedding:
     return embed(rep.M, epsilon=config.epsilon_rank, rng=rng, t=snapshot.t)
 
 
-def _validate_sequence(snapshots: list[SnapshotMatrix], window: int) -> None:
-    if len(snapshots) <= window:
+def cdp_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
+    """Score the current embedding against the profile of its window."""
+    return change_scores(current, profile_embedding(window))
+
+
+def sweep(
+    snapshots: list[SnapshotMatrix],
+    extract: Callable[[SnapshotMatrix], Any],
+    scorers: dict[str, Callable[[list, Any], ScoreVector]],
+    windows: tuple[int, ...],
+    threshold: float = DEFAULT_ZSCORE_THRESHOLD,
+) -> dict[tuple[str, int], ScoreSeries]:
+    """Score a sequence under every method and window that share one feature.
+
+    `extract` runs once per snapshot and returns its feature (anything with
+    a dimension `d`, such as an Embedding); only the last max(windows)
+    features are kept.  At every instant with at least w earlier features,
+    each scorer compares the current feature with the w before it, and the
+    score is normalized.  Returns one series per (method, window); every
+    series records the feature dimension and extraction seconds of every
+    instant.  Time indices must be consecutive: a missing instant would
+    otherwise be profiled against the wrong past.
+    """
+    depth = max(windows)
+    if len(snapshots) <= depth:
         raise ValueError(
-            f"need more snapshots ({len(snapshots)}) than the window ({window})"
+            f"need more snapshots ({len(snapshots)}) than the window ({depth})"
         )
-    n = snapshots[0].n
-    if any(snap.n != n for snap in snapshots):
+    if any(snap.n != snapshots[0].n for snap in snapshots):
         raise ValueError("all snapshots must share the same vertex count")
-    labels = [snap.t for snap in snapshots]
-    if any(b <= a for a, b in zip(labels, labels[1:])):
-        raise ValueError("snapshot time indices must be strictly increasing")
-
-
-def embed_sequence(
-    snapshots: list[SnapshotMatrix], config: CdpConfig
-) -> tuple[list[Embedding], dict[int, float]]:
-    """Embed every snapshot; returns the embeddings and per-instant seconds."""
-    embeddings: list[Embedding] = []
-    seconds: dict[int, float] = {}
+    for prev, snap in zip(snapshots, snapshots[1:]):
+        if snap.t != prev.t + 1:
+            raise ValueError(
+                f"time indices must be consecutive: expected t={prev.t + 1} "
+                f"after t={prev.t}, got t={snap.t}"
+            )
+    out = {(method, w): ScoreSeries() for method in scorers for w in windows}
+    recent = deque(maxlen=depth)
     for snap in snapshots:
+        t = snap.t
         start = time.perf_counter()
         try:
-            emb = embed_snapshot(snap, config)
+            feature = extract(snap)
         except EmptyGraph as exc:
-            raise EmptyGraph(f"snapshot t={snap.t} has no edges: {exc}") from exc
-        embeddings.append(emb)
-        seconds[snap.t] = time.perf_counter() - start
-    return embeddings, seconds
-
-
-def score_embeddings(embeddings: list[Embedding], config: CdpConfig) -> ScoreSeries:
-    """Window-profile scoring of an already embedded sequence."""
-    w = config.window
-    if len(embeddings) <= w:
-        raise ValueError(
-            f"need more embeddings ({len(embeddings)}) than the window ({w})"
-        )
-    series = ScoreSeries()
-    for emb in embeddings:
-        series.dims[emb.t] = emb.d
-    for pos in range(w, len(embeddings)):
-        t = embeddings[pos].t
-        start = time.perf_counter()
-        profile = profile_embedding(embeddings[pos - w : pos])
-        score = change_scores(embeddings[pos], profile)
-        zhat, detected, degenerate = normalize_and_detect(
-            score, config.zscore_threshold
-        )
-        series.scores[t] = score
-        series.zscores[t] = zhat
-        series.detections[t] = detected
-        series.degenerate[t] = degenerate
-        series.score_seconds[t] = time.perf_counter() - start
-    return series
+            raise EmptyGraph(f"snapshot t={t} has no edges: {exc}") from exc
+        seconds = time.perf_counter() - start
+        for (method, w), series in out.items():
+            series.dims[t] = feature.d
+            series.embed_seconds[t] = seconds
+            if len(recent) < w:
+                continue
+            start = time.perf_counter()
+            score = scorers[method](list(recent)[-w:], feature)
+            zhat, detected, degenerate = normalize_and_detect(score, threshold)
+            series.scores[t] = score
+            series.zscores[t] = zhat
+            series.detections[t] = detected
+            series.degenerate[t] = degenerate
+            series.score_seconds[t] = time.perf_counter() - start
+        recent.append(feature)
+    return out
 
 
 def run_cdp(snapshots: list[SnapshotMatrix], config: CdpConfig) -> ScoreSeries:
     """Score every instant of a snapshot sequence against its window profile."""
-    _validate_sequence(snapshots, config.window)
-    embeddings, embed_seconds = embed_sequence(snapshots, config)
-    series = score_embeddings(embeddings, config)
-    series.embed_seconds = embed_seconds
-    return series
+    return sweep(
+        snapshots,
+        lambda snap: embed_snapshot(snap, config),
+        {"cdp": cdp_scores},
+        (config.window,),
+        config.zscore_threshold,
+    )[("cdp", config.window)]

@@ -199,6 +199,18 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         assert "stage 'score'" in err and "t=2" in err
 
+    def test_missing_instant_failure_names_t(self, tmp_path, capsys):
+        edges = write(
+            tmp_path / "e.tsv",
+            "1 0 1 1\n1 1 2 1\n2 0 1 2\n2 1 2 1\n4 0 1 1\n4 1 2 3\n5 0 1 1\n5 1 2 1\n",
+        )
+        code = main(
+            ["detect", "--input", str(edges), "--window", "1", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage 'score'" in err and "t=3" in err
+
 
 class TestEvaluateCommand:
     def test_tiny_run_produces_tables(self, tmp_path):

@@ -9,8 +9,8 @@ from netchange import (
     random_sign_flip,
     representation_matrix,
     spectral_norm,
-    symmetric_spectrum,
 )
+from netchange.embedding import _eigsorted
 
 
 def random_symmetric(n, rng, scale=1.0):
@@ -29,41 +29,41 @@ def three_block_matrix(n=300):
 
 class TestSymmetricSpectrum:
     def test_2x2_by_inspection(self):
-        s = symmetric_spectrum(np.array([[0.1, 0.9], [0.9, 0.1]]))
-        assert np.allclose(s.singular_values, [1.0, 0.8], atol=1e-12)
-        assert np.allclose(s.eigenvalues, [1.0, -0.8], atol=1e-12)
-        assert np.allclose(s.vectors[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
+        evals, evecs = _eigsorted(np.array([[0.1, 0.9], [0.9, 0.1]]))
+        assert np.allclose(np.abs(evals), [1.0, 0.8], atol=1e-12)
+        assert np.allclose(evals, [1.0, -0.8], atol=1e-12)
+        assert np.allclose(evecs[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
     def test_diagonal_matrix(self):
-        s = symmetric_spectrum(np.diag([3.0, -4.0]))
-        assert np.allclose(s.singular_values, [4.0, 3.0], atol=0)
-        assert np.allclose(np.abs(s.vectors), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=0)
+        evals, evecs = _eigsorted(np.diag([3.0, -4.0]))
+        assert np.allclose(np.abs(evals), [4.0, 3.0], atol=0)
+        assert np.allclose(np.abs(evecs), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            symmetric_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            embed(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_reconstruction_and_conventions(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             M = random_symmetric(9, rng)
-            s = symmetric_spectrum(M)
-            rebuilt = (s.vectors * s.eigenvalues) @ s.vectors.T
+            evals, evecs = _eigsorted(M)
+            rebuilt = (evecs * evals) @ evecs.T
             assert np.linalg.norm(rebuilt - M) < 1e-8
-            assert np.all(np.diff(s.singular_values) <= 1e-15)
-            gram = s.vectors.T @ s.vectors
-            assert np.abs(gram - np.eye(s.numerical_rank)).max() < 1e-10
-            for j in range(s.numerical_rank):
-                col = s.vectors[:, j]
+            assert np.all(np.diff(np.abs(evals)) <= 1e-15)
+            gram = evecs.T @ evecs
+            assert np.abs(gram - np.eye(9)).max() < 1e-10
+            for j in range(9):
+                col = evecs[:, j]
                 first = col[np.abs(col) > 1e-12][0]
                 assert first >= 0
 
     def test_sigma1_matches_spectral_norm(self):
         rng = np.random.default_rng(15)
         M = random_symmetric(8, rng)
-        s = symmetric_spectrum(M)
+        evals, _ = _eigsorted(M)
         norm = spectral_norm(M, np.random.default_rng(1), tol=1e-12)
-        assert abs(s.singular_values[0] - norm) < 1e-8
+        assert abs(abs(evals[0]) - norm) < 1e-8
 
 
 class TestSpectralNorm:
@@ -188,6 +188,6 @@ class TestResidualInvariants:
     def test_residual_frobenius_nonincreasing(self):
         rng = np.random.default_rng(44)
         M = random_symmetric(15, rng)
-        s = symmetric_spectrum(M)
-        tails = np.sqrt(np.cumsum(s.singular_values[::-1] ** 2))[::-1]
+        evals, _ = _eigsorted(M)
+        tails = np.sqrt(np.cumsum(np.abs(evals)[::-1] ** 2))[::-1]
         assert np.all(np.diff(tails) <= 1e-15)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import netchange.baselines
 from netchange import (
     EmptyPartition,
     UndefinedTest,
@@ -197,6 +198,19 @@ class TestRunExperiment:
         assert set(result.series) == {("act", 1), ("act", 2), ("act", 3)}
         for (_, w), perf in result.series.items():
             assert {t for _, t in perf.phi} == set(range(w + 1, 9))
+
+    def test_act_and_actm_share_one_activity_per_snapshot(self, monkeypatch):
+        original = netchange.baselines.activity
+        calls = []
+
+        def counting(snapshot, *args, **kwargs):
+            calls.append(snapshot.t)
+            return original(snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(netchange.baselines, "activity", counting)
+        spec = tiny_spec()
+        run_experiment(spec, methods=("act", "actm"), windows=(1, 2), runs=1, seed=0, N=100)
+        assert calls == list(range(1, spec.T + 1))
 
     def test_run_seed_is_xor(self):
         assert run_seed(12, 0) == 12

@@ -6,12 +6,17 @@ from netchange import (
     EmptyGraph,
     ScoreVector,
     SnapshotMatrix,
+    activity,
+    actm_scores,
+    cdp_scores,
     change_scores,
     generate_sequence,
     normalize_and_detect,
     pre_shape,
+    run_baseline,
     run_cdp,
     scenario,
+    sweep,
 )
 from netchange.embedding import Embedding
 from netchange.pipeline import embed_snapshot
@@ -148,6 +153,12 @@ class TestRunCdp:
         with pytest.raises(ValueError):
             run_cdp(snapshots, CdpConfig(window=3))
 
+    def test_missing_instant_rejected(self):
+        # t=4 must not be profiled against {1, 2} as if t=3 existed
+        snapshots = [fixed_snapshot(10, seed=t, t=t) for t in (1, 2, 4)]
+        with pytest.raises(ValueError, match="t=3"):
+            run_cdp(snapshots, CdpConfig(window=1))
+
     def test_empty_snapshot_aborts_with_time_index(self):
         snapshots = [fixed_snapshot(10, seed=i, t=i + 1) for i in range(4)]
         snapshots[2] = SnapshotMatrix(W=np.zeros((10, 10)), t=3)
@@ -160,3 +171,34 @@ class TestRunCdp:
         assert sorted(series.embed_seconds) == [1, 2, 3, 4]
         assert sorted(series.score_seconds) == [3, 4]
         assert all(v >= 0 for v in series.embed_seconds.values())
+
+
+class TestSweep:
+    WINDOWS = (1, 3, 5)
+
+    def assert_same_series(self, a, b):
+        assert a.scored_instants() == b.scored_instants()
+        for t in a.scored_instants():
+            assert np.array_equal(a.scores[t].z, b.scores[t].z)
+            assert np.array_equal(a.zscores[t], b.zscores[t])
+            assert a.detections[t] == b.detections[t]
+        assert a.dims == b.dims
+
+    def test_cdp_multi_window_matches_single_window_runs(self):
+        snapshots = [fixed_snapshot(15, seed=30 + t, t=t) for t in range(1, 9)]
+        config = CdpConfig(seed=4)
+        swept = sweep(
+            snapshots, lambda s: embed_snapshot(s, config), {"cdp": cdp_scores}, self.WINDOWS
+        )
+        assert set(swept) == {("cdp", w) for w in self.WINDOWS}
+        for w in self.WINDOWS:
+            single = run_cdp(snapshots, CdpConfig(window=w, seed=4))
+            assert single.scored_instants() == list(range(w + 1, 9))
+            self.assert_same_series(swept[("cdp", w)], single)
+
+    def test_actm_multi_window_matches_single_window_runs(self):
+        snapshots = [fixed_snapshot(15, seed=50 + t, t=t) for t in range(1, 9)]
+        swept = sweep(snapshots, activity, {"actm": actm_scores}, self.WINDOWS)
+        for w in self.WINDOWS:
+            single = run_baseline(snapshots, CdpConfig(window=w), kind="actm")
+            self.assert_same_series(swept[("actm", w)], single)

@@ -1,0 +1,69 @@
+"""The benchmark's layer tracer must see every layer of a detect run.
+
+The tracer rebinds functions at the module where their caller looks them
+up.  A caller that captured a function object at import time (say, in a
+module-level table of scorers) would bypass the wrapper, and that layer
+would silently read zero in the traced benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import netchange.embedding
+import netchange.pipeline
+from netchange import SnapshotMatrix
+from netchange.cli import main, write_sequence
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+CDP_LAYERS = (
+    "graph.representation",
+    "embedding.embed",
+    "procrustes.profile",
+    "procrustes.change_scores",
+    "pipeline.normalize",
+)
+ACT_LAYERS = ("baselines.activity", "baselines.window_score", "pipeline.normalize")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_spans(tmp_path, method):
+    rng = np.random.default_rng(6)
+    snaps = []
+    for t in range(1, 5):
+        upper = np.triu(rng.poisson(1.5, (12, 12)).astype(float), k=1)
+        snaps.append(SnapshotMatrix(W=upper + upper.T, t=t))
+    edges = tmp_path / f"{method}.tsv"
+    write_sequence(edges, snaps)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = main(
+            ["detect", "--input", str(edges), "--method", method, "--window", "2",
+             "--out", str(tmp_path / method)]
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert netchange.pipeline.embed is netchange.embedding.embed
+    names = [span["name"] for span in tracer.spans]
+    return {name: names.count(name) for name in set(names)}
+
+
+def test_every_layer_records_spans(tmp_path):
+    cdp = traced_spans(tmp_path, "cdp")
+    for layer in CDP_LAYERS:
+        assert cdp.get(layer, 0) > 0, layer
+    act = traced_spans(tmp_path, "act")
+    for layer in ACT_LAYERS:
+        assert act.get(layer, 0) > 0, layer
+    assert act["baselines.activity"] == 4
+    assert act["baselines.window_score"] == 2
