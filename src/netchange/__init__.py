@@ -20,7 +20,6 @@ from .baselines import (
 from .dcsbm import (
     ConstantTheta,
     DcsbmModel,
-    GroundTruth,
     PowerLawTheta,
     ScenarioSpec,
     block_matrix,

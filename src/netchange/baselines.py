@@ -5,8 +5,7 @@ vector (the principal eigenvector of the raw adjacency matrix) and score
 vertices by entrywise deviation from a window summary.  The first keeps
 only the leading left singular vector of the window; the modified variant
 projects the current vector onto the full window subspace.  Neither applies
-the sparsity/heterogeneity preprocessing of the main pipeline, though a
-switch allows running them on the scaled matrix for ablation.
+the sparsity/heterogeneity preprocessing of the main pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGraph
-from .graph import SnapshotMatrix, log_transform, max_scale
+from .graph import SnapshotMatrix
 # normalize_and_detect is imported for callers that rebind it here by
 # module (layer tracing); the sweep itself normalizes through pipeline.
 from .pipeline import CdpConfig, ScoreSeries, normalize_and_detect, sweep  # noqa: F401
@@ -40,7 +39,7 @@ class ActivityVector:
         return 1
 
 
-def activity(snapshot: SnapshotMatrix, preprocessed: bool = False) -> ActivityVector:
+def activity(snapshot: SnapshotMatrix) -> ActivityVector:
     """Principal eigenvector of the adjacency matrix, Perron sign-fixed.
 
     Power iteration runs on W + cI with c the maximum row sum; the shift
@@ -50,8 +49,6 @@ def activity(snapshot: SnapshotMatrix, preprocessed: bool = False) -> ActivityVe
     nonnegative, so the result needs no sign cleanup beyond normalization.
     """
     W = snapshot.W
-    if preprocessed:
-        W = max_scale(log_transform(W))
     if not np.any(W > 0):
         raise EmptyGraph("zero matrix has no principal eigenvector")
     n = W.shape[0]
@@ -119,7 +116,6 @@ def run_baseline(
     snapshots: list[SnapshotMatrix],
     config: CdpConfig,
     kind: str,
-    preprocessed: bool = False,
 ) -> ScoreSeries:
     """Activity extraction plus window scoring over a snapshot sequence."""
     # built per call, so a rebinding of either scorer at module level is seen
@@ -128,7 +124,7 @@ def run_baseline(
         raise ValueError(f"unknown baseline {kind!r}")
     return sweep(
         snapshots,
-        lambda snap: activity(snap, preprocessed=preprocessed),
+        activity,
         {kind: scorers[kind]},
         (config.window,),
         config.zscore_threshold,

@@ -31,7 +31,7 @@ from .dcsbm import (
     DEFAULT_INTERVAL,
     DEFAULT_T,
     SCENARIO_NAMES,
-    GroundTruth,
+    ScenarioSpec,
     generate_sequence,
     scenario,
 )
@@ -127,13 +127,13 @@ def write_sequence(path: str | Path, snapshots: list[SnapshotMatrix]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
+def write_ground_truth(path: str | Path, spec: ScenarioSpec) -> None:
     payload = {
-        "scenario": truth.scenario,
-        "n": truth.n,
-        "T": truth.T,
-        "changed_vertices": [int(v) for v in truth.changed_vertices],
-        "change_times": [int(t) for t in truth.change_times],
+        "scenario": spec.name,
+        "n": spec.n,
+        "T": spec.T,
+        "changed_vertices": [int(v) for v in spec.changed_vertices],
+        "change_times": spec.change.times(),
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -226,12 +226,12 @@ def cmd_simulate(args, stages: StageTimer) -> int:
             args.scenario, change_type=args.change_type, T=args.T, scale=args.scale
         )
     with stages("generate"):
-        snapshots, truth = generate_sequence(spec, np.random.default_rng(args.seed))
+        snapshots = generate_sequence(spec, np.random.default_rng(args.seed))
     with stages("write"):
         edges_path = out / "sequence.tsv"
         truth_path = out / "ground_truth.json"
         write_sequence(edges_path, snapshots)
-        write_ground_truth(truth_path, truth)
+        write_ground_truth(truth_path, spec)
     write_manifest(
         out,
         "simulate",

@@ -5,9 +5,9 @@ mean theta_i * theta_j * psi(block_i, block_j), where psi scales a block
 probability matrix by the block sizes and the theta vector carries
 per-vertex degree propensities (power-law or constant, normalized to sum
 to one inside each block).  A scenario pairs a baseline model with a
-changed model and a switch rule (single instant or sustained interval);
-sampling a scenario yields the snapshot sequence plus ground truth about
-which vertices changed and when.
+changed model, an interval of changed instants (one instant for a point
+change) and the changed vertex set; that scenario is the ground truth of
+every snapshot sequence sampled from it.
 """
 
 from __future__ import annotations
@@ -159,10 +159,6 @@ def sample_snapshot(
     return SnapshotMatrix(W=W, t=t)
 
 
-def _planted_diag(*probs: float) -> np.ndarray:
-    return np.diag(np.asarray(probs, dtype=float))
-
-
 def _scaled_sizes(sizes: tuple[int, ...], scale: float | None) -> tuple[int, ...]:
     if scale is None:
         return sizes
@@ -174,6 +170,23 @@ def _scaled_sizes(sizes: tuple[int, ...], scale: float | None) -> tuple[int, ...
     return scaled
 
 
+_A, _B, _G = CATALOG_ALPHA, CATALOG_BETA, CATALOG_GAMMA
+# model -> (block sizes, planted diagonal or full planted matrix,
+# blocks with constant theta; every other block draws a power law)
+_CATALOG = {
+    "M1": ((300, 300, 300), (_A, _B, _G), ()),
+    "M2": ((150, 150, 300, 300), (_A, _A, _B, _G), ()),
+    "M3": ((300, 300, 300), (_A, _B, 0.1 * _G), ()),
+    "M4": ((150, 450, 300), (_A, _B, _G), ()),
+    "M5": ((300, 300, 300), (_A, _B, _G), (0,)),
+    "M6": (
+        (300, 300, 300),
+        ((0.5 * _A, 0.5 * _A, 0.0), (0.5 * _A, _B - 0.5 * _A, 0.0), (0.0, 0.0, _G)),
+        (),
+    ),
+}
+
+
 def catalog(name: str, scale: float | None = None) -> DcsbmModel:
     """Named model from the simulation catalog (M1..M6).
 
@@ -183,66 +196,28 @@ def catalog(name: str, scale: float | None = None) -> DcsbmModel:
     `scale` multiplies every block size uniformly.
     """
     key = name.upper()
-    power = PowerLawTheta()
-    if key == "M1":
-        sizes: tuple[int, ...] = (300, 300, 300)
-        planted = _planted_diag(CATALOG_ALPHA, CATALOG_BETA, CATALOG_GAMMA)
-        laws: tuple[ThetaLaw, ...] = (power, power, power)
-    elif key == "M2":
-        sizes = (150, 150, 300, 300)
-        planted = _planted_diag(CATALOG_ALPHA, CATALOG_ALPHA, CATALOG_BETA, CATALOG_GAMMA)
-        laws = (power, power, power, power)
-    elif key == "M3":
-        sizes = (300, 300, 300)
-        planted = _planted_diag(CATALOG_ALPHA, CATALOG_BETA, 0.1 * CATALOG_GAMMA)
-        laws = (power, power, power)
-    elif key == "M4":
-        sizes = (150, 450, 300)
-        planted = _planted_diag(CATALOG_ALPHA, CATALOG_BETA, CATALOG_GAMMA)
-        laws = (power, power, power)
-    elif key == "M5":
-        sizes = (300, 300, 300)
-        planted = _planted_diag(CATALOG_ALPHA, CATALOG_BETA, CATALOG_GAMMA)
-        laws = (ConstantTheta(), power, power)
-    elif key == "M6":
-        a, b, g = CATALOG_ALPHA, CATALOG_BETA, CATALOG_GAMMA
-        sizes = (300, 300, 300)
-        planted = np.array(
-            [
-                [0.5 * a, 0.5 * a, 0.0],
-                [0.5 * a, b - 0.5 * a, 0.0],
-                [0.0, 0.0, g],
-            ]
-        )
-        laws = (power, power, power)
-    else:
+    if key not in _CATALOG:
         raise ValueError(f"unknown model {name!r}; expected M1..M6")
+    sizes, planted, constant = _CATALOG[key]
+    planted = np.asarray(planted, dtype=float)
     return DcsbmModel(
         g=_scaled_sizes(sizes, scale),
-        B_planted=planted,
+        B_planted=np.diag(planted) if planted.ndim == 1 else planted,
         nu=CATALOG_NU,
         lam=CATALOG_LAMBDA,
-        theta_laws=laws,
+        theta_laws=tuple(
+            ConstantTheta() if b in constant else PowerLawTheta() for b in range(len(sizes))
+        ),
         name=key,
     )
 
 
 @dataclass(frozen=True)
-class ChangePoint:
-    """The changed model generates exactly one instant."""
-
-    t_star: int
-
-    def active(self, t: int) -> bool:
-        return t == self.t_star
-
-    def times(self, T: int) -> list[int]:
-        return [self.t_star] if self.t_star <= T else []
-
-
-@dataclass(frozen=True)
 class ChangeInterval:
-    """The changed model generates a sustained run of instants."""
+    """The changed model generates instants start..end inclusive.
+
+    A point change is the one-instant interval start == end.
+    """
 
     start: int
     end: int
@@ -250,21 +225,9 @@ class ChangeInterval:
     def active(self, t: int) -> bool:
         return self.start <= t <= self.end
 
-    def times(self, T: int) -> list[int]:
-        return list(range(self.start, min(self.end, T) + 1))
+    def times(self) -> list[int]:
+        return list(range(self.start, self.end + 1))
 
-
-SCENARIO_NAMES = (
-    "group-change",
-    "split",
-    "merge",
-    "form",
-    "fragment",
-    "hetero-to-homo",
-    "homo-to-hetero",
-    "simple-to-complex",
-    "complex-to-simple",
-)
 
 # scenario -> (baseline model, changed model, blocks of the baseline whose
 # vertices are the changed set)
@@ -279,30 +242,30 @@ _SCENARIO_TABLE = {
     "simple-to-complex": ("M1", "M6", (0, 1)),
     "complex-to-simple": ("M6", "M1", (0, 1)),
 }
+SCENARIO_NAMES = tuple(_SCENARIO_TABLE)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A change scenario: two models, a switch rule, and the changed set."""
+    """A change scenario: two models, the changed instants, and the changed set.
+
+    The spec is the ground truth of every sequence sampled from it.
+    """
 
     name: str
     f0: DcsbmModel
     f1: DcsbmModel
-    change: ChangePoint | ChangeInterval
+    change: ChangeInterval
     T: int
     changed_vertices: np.ndarray
 
     def __post_init__(self):
         if self.f0.n != self.f1.n:
             raise ValueError("both models must share the vertex count")
-        if isinstance(self.change, ChangePoint):
-            if not 1 < self.change.t_star <= self.T:
-                raise ValueError(f"change instant {self.change.t_star} outside 2..{self.T}")
-        else:
-            if not 1 < self.change.start < self.change.end <= self.T:
-                raise ValueError(
-                    f"interval {self.change.start}..{self.change.end} invalid for T={self.T}"
-                )
+        if not 1 < self.change.start <= self.change.end <= self.T:
+            raise ValueError(
+                f"change {self.change.start}..{self.change.end} invalid for T={self.T}"
+            )
         cv = np.array(sorted(int(v) for v in np.asarray(self.changed_vertices)))
         if cv.size == 0 or cv.size >= self.f0.n or cv[0] < 0 or cv[-1] >= self.f0.n:
             raise ValueError("changed vertices must be a proper nonempty subset")
@@ -322,20 +285,7 @@ class ScenarioSpec:
     @property
     def change_instant(self) -> int:
         """First instant generated by the changed model."""
-        if isinstance(self.change, ChangePoint):
-            return self.change.t_star
         return self.change.start
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Sidecar describing what a generated sequence actually did."""
-
-    scenario: str
-    n: int
-    T: int
-    changed_vertices: np.ndarray
-    change_times: list[int]
 
 
 def scenario(
@@ -344,7 +294,6 @@ def scenario(
     T: int = DEFAULT_T,
     scale: float | None = None,
     t_star: int = DEFAULT_CHANGE_INSTANT,
-    interval: tuple[int, int] = DEFAULT_INTERVAL,
 ) -> ScenarioSpec:
     """Build a catalog scenario, optionally scaled down uniformly."""
     if name not in _SCENARIO_TABLE:
@@ -359,48 +308,23 @@ def scenario(
         )
     c = f0.memberships
     changed = np.nonzero(np.isin(c, changed_blocks))[0]
-    change: ChangePoint | ChangeInterval
-    if change_type == "point":
-        change = ChangePoint(t_star=t_star)
-    elif change_type == "interval":
-        change = ChangeInterval(start=interval[0], end=interval[1])
-    else:
+    bounds = {"point": (t_star, t_star), "interval": DEFAULT_INTERVAL}
+    if change_type not in bounds:
         raise ValueError(f"unknown change type {change_type!r}")
+    change = ChangeInterval(*bounds[change_type])
     return ScenarioSpec(
         name=name, f0=f0, f1=f1, change=change, T=T, changed_vertices=changed
     )
 
 
-def generate_sequence(
-    spec: ScenarioSpec,
-    rng: np.random.Generator,
-    freeze_theta: bool = False,
-) -> tuple[list[SnapshotMatrix], GroundTruth]:
+def generate_sequence(spec: ScenarioSpec, rng: np.random.Generator) -> list[SnapshotMatrix]:
     """Sample the scenario's snapshot sequence.
 
     Degree propensities are redrawn independently at every instant, since
     consecutive snapshots are independent samples from the active model.
-    `freeze_theta` instead draws one theta per model up front and reuses it,
-    for ablation.
     """
-    frozen: dict[int, np.ndarray] = {}
-    if freeze_theta:
-        frozen[0] = sample_theta(spec.f0, rng)
-        frozen[1] = sample_theta(spec.f1, rng)
     snapshots = []
     for t in range(1, spec.T + 1):
-        active = spec.change.active(t)
-        model = spec.f1 if active else spec.f0
-        if freeze_theta:
-            theta = frozen[1 if active else 0]
-        else:
-            theta = sample_theta(model, rng)
-        snapshots.append(sample_snapshot(model, theta, rng, t=t))
-    truth = GroundTruth(
-        scenario=spec.name,
-        n=spec.n,
-        T=spec.T,
-        changed_vertices=spec.changed_vertices,
-        change_times=spec.change.times(spec.T),
-    )
-    return snapshots, truth
+        model = spec.f1 if spec.change.active(t) else spec.f0
+        snapshots.append(sample_snapshot(model, sample_theta(model, rng), rng, t=t))
+    return snapshots

@@ -163,15 +163,9 @@ def estimate_rank_d(
     """Choose the embedding dimension for a symmetric representation matrix.
 
     Returns the number of singular vectors to keep counting from the second
-    principal one; always at least 1.
+    principal one, as `embed` chooses it; at least 1 once M has two rows.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    M = _check_symmetric(M)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    evals, evecs = _eigsorted(M)
-    return _rank_from_spectrum(evals, evecs, epsilon, rng)
+    return embed(M, epsilon, rng).d
 
 
 def embed(

@@ -193,7 +193,7 @@ def run_experiment(
 
     for run in range(runs):
         rseed = run_seed(seed, run)
-        snapshots, _truth = generate_sequence(spec, np.random.default_rng(rseed))
+        snapshots = generate_sequence(spec, np.random.default_rng(rseed))
         for extract, scorers in _feature_groups(methods, rseed, epsilon_rank):
             for (method, w), result in sweep(snapshots, extract, scorers, windows).items():
                 if w == windows[0]:

@@ -362,7 +362,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 
     snaps = ingest_sequence(out_a / "sequence.tsv", n=90)
     spec = scenario("group-change", scale=0.1)
-    regenerated, _ = __import__("netchange").generate_sequence(
+    regenerated = __import__("netchange").generate_sequence(
         spec, np.random.default_rng(123)
     )
     round_trip = all(

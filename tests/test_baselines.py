@@ -156,9 +156,3 @@ class TestRunBaseline:
         snapshots[1] = SnapshotMatrix(W=np.zeros((10, 10)), t=2)
         with pytest.raises(EmptyGraph, match="t=2"):
             run_baseline(snapshots, CdpConfig(window=2), kind="act")
-
-    def test_preprocessed_switch_changes_scores(self):
-        snapshots = [random_graph(12, seed=s + 20, t=s + 1) for s in range(4)]
-        raw = run_baseline(snapshots, CdpConfig(window=2), kind="act")
-        cooked = run_baseline(snapshots, CdpConfig(window=2), kind="act", preprocessed=True)
-        assert not np.array_equal(raw.scores[3].z, cooked.scores[3].z)

@@ -15,7 +15,7 @@ from netchange import (
     sample_theta,
     scenario,
 )
-from netchange.dcsbm import ChangeInterval, ChangePoint, sample_power_law
+from netchange.dcsbm import ChangeInterval, ScenarioSpec, sample_power_law
 
 
 def toy_model():
@@ -178,13 +178,12 @@ class TestScenario:
         assert spec.f0.name == "M1"
         assert spec.f1.name == "M4"
         assert np.array_equal(spec.changed_vertices, np.arange(600))
-        assert isinstance(spec.change, ChangePoint)
-        assert spec.change.t_star == 21
+        assert spec.change == ChangeInterval(start=21, end=21)
+        assert spec.change_instant == 21
 
     def test_interval_wiring(self):
         spec = scenario("form", change_type="interval")
-        assert isinstance(spec.change, ChangeInterval)
-        assert spec.change.start == 21 and spec.change.end == 30
+        assert spec.change == ChangeInterval(start=21, end=30)
         assert np.array_equal(spec.changed_vertices, np.arange(600, 900))
 
     def test_changed_sets_scale_with_blocks(self):
@@ -205,6 +204,41 @@ class TestScenario:
             assert spec.f0.nu == spec.f1.nu
 
 
+class TestChangeValidation:
+    def spec(self, start, end, T=6):
+        model = catalog("M1", scale=0.1)
+        return ScenarioSpec(
+            name="null",
+            f0=model,
+            f1=model,
+            change=ChangeInterval(start=start, end=end),
+            T=T,
+            changed_vertices=np.arange(5),
+        )
+
+    def test_first_instant_rejected(self):
+        with pytest.raises(ValueError, match="1..1 invalid"):
+            self.spec(1, 1)
+        with pytest.raises(ValueError):
+            scenario("split", scale=0.1, T=5, t_star=1)
+
+    def test_end_past_T_rejected(self):
+        with pytest.raises(ValueError, match="4..7 invalid for T=6"):
+            self.spec(4, 7)
+        with pytest.raises(ValueError):
+            scenario("form", change_type="interval", scale=0.1, T=29)
+
+    def test_start_after_end_rejected(self):
+        with pytest.raises(ValueError, match="5..4 invalid"):
+            self.spec(5, 4)
+
+    def test_point_change_is_one_instant_interval(self):
+        spec = self.spec(6, 6)
+        assert spec.change.times() == [6]
+        assert spec.change_instant == 6
+        assert [t for t in range(1, 7) if spec.change.active(t)] == [6]
+
+
 class TestGenerateSequence:
     def test_point_change_isolated_to_t_star(self):
         # silent baseline vs a model that must emit edges: activity localves
@@ -222,40 +256,32 @@ class TestGenerateSequence:
             lam=1.0,
             theta_laws=(ConstantTheta(), ConstantTheta()),
         )
-        from netchange.dcsbm import ScenarioSpec
-
         spec = ScenarioSpec(
             name="custom",
             f0=silent,
             f1=loud,
-            change=ChangePoint(t_star=4),
+            change=ChangeInterval(start=4, end=4),
             T=6,
             changed_vertices=np.arange(5),
         )
-        snaps, truth = generate_sequence(spec, np.random.default_rng(0))
+        snaps = generate_sequence(spec, np.random.default_rng(0))
         weights = [s.W.sum() for s in snaps]
         assert weights[3] > 0
         assert all(w == 0 for t, w in enumerate(weights) if t != 3)
-        assert truth.change_times == [4]
+        assert spec.change.times() == [4]
 
     def test_interval_change_span(self):
         spec = scenario("fragment", change_type="interval", scale=0.1)
-        _, truth = generate_sequence(spec, np.random.default_rng(0))
-        assert truth.change_times == list(range(21, 31))
+        snaps = generate_sequence(spec, np.random.default_rng(0))
+        assert [s.t for s in snaps] == list(range(1, 31))
+        assert spec.change.times() == list(range(21, 31))
 
     def test_seed_determinism(self):
         spec = scenario("split", scale=0.1, T=5, t_star=4)
-        a, _ = generate_sequence(spec, np.random.default_rng(42))
-        b, _ = generate_sequence(spec, np.random.default_rng(42))
+        a = generate_sequence(spec, np.random.default_rng(42))
+        b = generate_sequence(spec, np.random.default_rng(42))
         for x, y in zip(a, b):
             assert np.array_equal(x.W, y.W)
-
-    def test_frozen_theta_reuses_draws(self):
-        spec = scenario("split", scale=0.1, T=5, t_star=4)
-        snaps, _ = generate_sequence(
-            spec, np.random.default_rng(3), freeze_theta=True
-        )
-        assert len(snaps) == 5
 
     def test_total_weight_matches_expectation(self):
         model = toy_model()

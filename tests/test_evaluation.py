@@ -15,7 +15,7 @@ from netchange import (
     scenario,
     sign_test,
 )
-from netchange.dcsbm import ChangePoint, ScenarioSpec, catalog
+from netchange.dcsbm import ChangeInterval, ScenarioSpec, catalog
 from netchange.evaluation import performance_rows, run_seed
 
 
@@ -124,7 +124,7 @@ def tiny_spec(T=8, t_star=6, null=False):
         name="null" if null else "tiny-group-change",
         f0=f0,
         f1=f1,
-        change=ChangePoint(t_star=t_star),
+        change=ChangeInterval(start=t_star, end=t_star),
         T=T,
         changed_vertices=np.arange(60),
     )

@@ -113,16 +113,16 @@ class TestRunCdp:
     )
     def test_group_change_separates_changed_vertices(self):
         spec = scenario("group-change", scale=1 / 3)
-        snapshots, truth = generate_sequence(spec, np.random.default_rng(99))
+        snapshots = generate_sequence(spec, np.random.default_rng(99))
         series = run_cdp(snapshots, CdpConfig(window=5, seed=99))
         z = series.scores[21].z
-        changed = z[truth.changed_vertices].mean()
+        changed = z[spec.changed_vertices].mean()
         unchanged = z[spec.unchanged_vertices].mean()
         assert changed > unchanged
 
     def test_bit_identical_reruns(self):
         spec = scenario("split", scale=0.1, T=8, t_star=7)
-        snapshots, _ = generate_sequence(spec, np.random.default_rng(5))
+        snapshots = generate_sequence(spec, np.random.default_rng(5))
         config = CdpConfig(window=3, seed=11)
         a = run_cdp(snapshots, config)
         b = run_cdp(snapshots, config)
