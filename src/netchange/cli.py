@@ -215,6 +215,10 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _scenario_spec(args) -> ScenarioSpec:
+    return scenario(args.scenario, change_type=args.change_type, T=args.T, scale=args.scale)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -222,9 +226,7 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args, stages: StageTimer) -> int:
     out = _out_dir(args)
     with stages("build-scenario"):
-        spec = scenario(
-            args.scenario, change_type=args.change_type, T=args.T, scale=args.scale
-        )
+        spec = _scenario_spec(args)
     with stages("generate"):
         snapshots = generate_sequence(spec, np.random.default_rng(args.seed))
     with stages("write"):
@@ -302,9 +304,7 @@ def cmd_evaluate(args, stages: StageTimer) -> int:
             raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
     windows = tuple(int(w) for w in args.windows.split(","))
     with stages("build-scenario"):
-        spec = scenario(
-            args.scenario, change_type=args.change_type, T=args.T, scale=args.scale
-        )
+        spec = _scenario_spec(args)
     with stages("experiment"):
         result = run_experiment(
             spec,
@@ -316,54 +316,27 @@ def cmd_evaluate(args, stages: StageTimer) -> int:
             epsilon_rank=args.epsilon,
         )
     with stages("write"):
-        perf_path = out / "performance.csv"
-        write_csv(
-            perf_path,
-            ["scenario", "method", "window", "run", "t", "phi", "eta", "eta_bar"],
-            [
-                (
-                    row["scenario"],
-                    row["method"],
-                    row["window"],
-                    row["run"],
-                    row["t"],
-                    row["phi"],
-                    row["eta"],
-                    row["eta_bar"],
-                )
-                for row in performance_rows(result)
-            ],
+        tables = (
+            ("performance.csv", performance_rows(result),
+             ["scenario", "method", "window", "run", "t", "phi", "eta", "eta_bar"]),
+            ("sign_tests.csv", result.sign_tests,
+             ["scenario", "window", "comparison", "alternative", "p_value"]),
+            ("proportions.csv", result.proportions,
+             ["scenario", "window", "comparison", "relation", "proportion"]),
+            ("timings.csv", result.timings, ["task", "method", "n", "mean_seconds"]),
         )
-        sign_path = out / "sign_tests.csv"
-        write_csv(
-            sign_path,
-            ["scenario", "window", "comparison", "alternative", "p_value"],
-            [
-                (result.scenario, r["window"], r["comparison"], r["alternative"], r["p_value"])
-                for r in result.sign_tests
-            ],
-        )
-        prop_path = out / "proportions.csv"
-        write_csv(
-            prop_path,
-            ["scenario", "window", "comparison", "relation", "proportion"],
-            [
-                (result.scenario, r["window"], r["comparison"], r["relation"], r["proportion"])
-                for r in result.proportions
-            ],
-        )
-        timing_path = out / "timings.csv"
-        write_csv(
-            timing_path,
-            ["task", "method", "n", "mean_seconds"],
-            [(r["task"], r["method"], r["n"], r["mean_seconds"]) for r in result.timings],
-        )
+        outputs = []
+        for name, rows, header in tables:
+            # sign-test and proportion rows carry no scenario of their own
+            rows = [{"scenario": result.scenario, **r} for r in rows]
+            write_csv(out / name, header, [tuple(r[h] for h in header) for r in rows])
+            outputs.append(str(out / name))
     write_manifest(
         out,
         "evaluate",
         _config_snapshot(args),
         inputs=[],
-        outputs=[str(perf_path), str(sign_path), str(prop_path), str(timing_path)],
+        outputs=outputs,
         seed=args.seed,
         stages=stages,
     )
@@ -405,18 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="netchange_out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="random seed")
 
+    def scenario_args(p):
+        p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
+        p.add_argument(
+            "--change-type",
+            default="point",
+            choices=("point", "interval"),
+            help=f"single instant (t*={DEFAULT_CHANGE_INSTANT}) or sustained "
+            f"interval {DEFAULT_INTERVAL[0]}..{DEFAULT_INTERVAL[1]}",
+        )
+        p.add_argument("--T", type=int, default=DEFAULT_T, help="sequence length")
+        p.add_argument("--scale", type=float, default=None, help="uniform block-size multiplier")
+
     sim = sub.add_parser("simulate", help="generate a synthetic change scenario")
     common(sim)
-    sim.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    sim.add_argument(
-        "--change-type",
-        default="point",
-        choices=("point", "interval"),
-        help=f"single instant (t*={DEFAULT_CHANGE_INSTANT}) or sustained "
-        f"interval {DEFAULT_INTERVAL[0]}..{DEFAULT_INTERVAL[1]}",
-    )
-    sim.add_argument("--T", type=int, default=DEFAULT_T, help="sequence length")
-    sim.add_argument("--scale", type=float, default=None, help="uniform block-size multiplier")
+    scenario_args(sim)
     sim.set_defaults(func=cmd_simulate)
 
     det = sub.add_parser("detect", help="score vertices of an ingested sequence")
@@ -436,10 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="simulation experiment with performance tables")
     common(ev)
-    ev.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    ev.add_argument("--change-type", default="point", choices=("point", "interval"))
-    ev.add_argument("--T", type=int, default=DEFAULT_T)
-    ev.add_argument("--scale", type=float, default=None)
+    scenario_args(ev)
     ev.add_argument("--methods", default="cdp,act,actm", help="comma-separated methods")
     ev.add_argument("--windows", default="5", help="comma-separated window sizes")
     ev.add_argument("--runs", type=int, default=100)

@@ -51,13 +51,11 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so the first non-negligible entry is nonnegative."""
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            vectors[:, j] = -col
-    return vectors
+    significant = np.abs(vectors) > 1e-12
+    cols = np.arange(vectors.shape[1])
+    first = np.argmax(significant, axis=0)
+    flip = significant[first, cols] & (vectors[first, cols] < 0)
+    return np.where(flip, -vectors, vectors)
 
 
 def _eigsorted(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,48 +109,37 @@ def random_sign_flip(R: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _rank_from_spectrum(
+    M: np.ndarray,
     evals: np.ndarray,
     evecs: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
 ) -> int:
-    """Residual-based dimension search on the deflated spectrum.
+    """Residual-based dimension search on the spectrum of M.
 
-    `evals`/`evecs` are the full decomposition of the original matrix
-    ordered by |eigenvalue|; the leading component is dropped here, which
-    is algebraically identical to decomposing M - lambda_1 u_1 u_1^T.
+    `evals`/`evecs` are the full decomposition of M ordered by |eigenvalue|.
+    The residual R_k is M without its leading component and the next k, so
+    its norms are read off the spectrum: ||R_k||_2 = |lambda_{k+2}| and
+    ||R_k||_F^2 = sum of lambda_i^2 over i > k+1.  Only the norm of its
+    sign-flipped copy needs power iteration.  The search stops at k = rank
+    whatever rho is there.
     """
     sv = np.abs(evals)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 1
-    # spectrum of the deflated matrix = original minus its leading component
-    d_evals = evals[1:]
-    d_evecs = evecs[:, 1:]
-    d_sv = np.abs(d_evals)
-    if d_sv.size == 0 or d_sv[0] <= ZERO_RESIDUAL_FROBENIUS:
+    if sv[1] <= ZERO_RESIDUAL_FROBENIUS:
         # deflated matrix is numerically zero: only constant-vector structure
         return 1
-    rank = int(np.count_nonzero(d_sv > RANK_TOLERANCE * d_sv[0]))
-
-    residual = (d_evecs[:, :rank] * d_evals[:rank]) @ d_evecs[:, :rank].T
-    tail_sq = float(np.sum(d_sv[:rank] ** 2))
-    for k in range(1, rank + 1):
-        lam = d_evals[k - 1]
-        u = d_evecs[:, k - 1]
-        residual = residual - lam * np.outer(u, u)
-        tail_sq -= float(d_sv[k - 1] ** 2)
-        frob = np.sqrt(max(tail_sq, 0.0))
-        if frob < ZERO_RESIDUAL_FROBENIUS:
-            # nothing left to test; the ratio would be 0/0
-            return k
-        flip_rng, norm_a_rng, norm_b_rng = rng.spawn(3)
+    rank = int(np.count_nonzero(sv[1:] > RANK_TOLERANCE * sv[1]))
+    frob = np.sqrt(np.cumsum(sv[::-1] ** 2)[::-1])  # frob[j]^2 = sum(sv[j:]^2)
+    for k in range(1, rank):  # frob[k + 1] >= sv[k + 1] > 0 here
+        residual = M - (evecs[:, : k + 1] * evals[: k + 1]) @ evecs[:, : k + 1].T
+        # Child 0 draws the flip, child 2 starts the flipped norm, child 1 is
+        # unused: this keeps every sign flip, so every d the references record.
+        flip_rng, _, norm_rng = rng.spawn(3)
         flipped = random_sign_flip(residual, flip_rng)
-        norm_residual = spectral_norm(residual, norm_a_rng)
-        norm_flipped = spectral_norm(flipped, norm_b_rng)
-        rho = abs(norm_residual - norm_flipped) / frob
+        rho = abs(sv[k + 1] - spectral_norm(flipped, norm_rng)) / frob[k + 1]
         if rho <= epsilon:
             return k
-    return max(rank, 1)
+    return rank
 
 
 def estimate_rank_d(
@@ -163,7 +150,7 @@ def estimate_rank_d(
     """Choose the embedding dimension for a symmetric representation matrix.
 
     Returns the number of singular vectors to keep counting from the second
-    principal one, as `embed` chooses it; at least 1 once M has two rows.
+    principal one, as `embed` chooses it; at least 1.
     """
     return embed(M, epsilon, rng).d
 
@@ -180,12 +167,13 @@ def embed(
     vector is a near-constant direction carrying no contrast), with d selected
     by `estimate_rank_d`.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     M = _check_symmetric(M)
+    if M.shape[0] < 2:
+        raise ValueError(f"need at least 2 rows to embed, got {M.shape[0]}")
     if rng is None:
         rng = np.random.default_rng(0)
     evals, evecs = _eigsorted(M)
-    d = _rank_from_spectrum(evals, evecs, epsilon, rng)
-    X = evecs[:, 1 : d + 1].copy()
-    return Embedding(X=X, t=t)
+    d = _rank_from_spectrum(M, evals, evecs, epsilon, rng)
+    return Embedding(X=evecs[:, 1 : d + 1].copy(), t=t)

@@ -180,6 +180,8 @@ def run_experiment(
     windows = tuple(sorted(set(windows)))
     if not methods or not windows:
         raise ValueError("need at least one method and one window")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     t_change = spec.change_instant
     for w in windows:
         if w >= t_change:

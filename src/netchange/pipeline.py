@@ -37,7 +37,7 @@ class CdpConfig:
         window: number of past instants profiled (w >= 1).
         epsilon_rank: convergence threshold of the rank-selection residual
             test.
-        zscore_threshold: detection cutoff on normalized scores (strict >).
+        zscore_threshold: finite detection cutoff on normalized scores (strict >).
         seed: base seed for the per-snapshot randomized rank selection.
     """
 
@@ -49,8 +49,10 @@ class CdpConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.epsilon_rank <= 0:
+        if not self.epsilon_rank > 0:
             raise ValueError("epsilon_rank must be positive")
+        if not np.isfinite(self.zscore_threshold):
+            raise ValueError("zscore_threshold must be finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netchange.embedding
 from netchange import (
     NotSymmetric,
     SnapshotMatrix,
@@ -10,7 +11,7 @@ from netchange import (
     representation_matrix,
     spectral_norm,
 )
-from netchange.embedding import _eigsorted
+from netchange.embedding import _eigsorted, _fix_column_signs
 
 
 def random_symmetric(n, rng, scale=1.0):
@@ -57,6 +58,28 @@ class TestSymmetricSpectrum:
                 col = evecs[:, j]
                 first = col[np.abs(col) > 1e-12][0]
                 assert first >= 0
+
+    def test_column_signs_match_loop_reference(self):
+        def loop_reference(vectors):
+            vectors = vectors.copy()
+            for j in range(vectors.shape[1]):
+                col = vectors[:, j]
+                nz = np.nonzero(np.abs(col) > 1e-12)[0]
+                if nz.size and col[nz[0]] < 0:
+                    vectors[:, j] = -col
+            return vectors
+
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            V = rng.standard_normal((7, 5))
+            # exact zeros of both signs and sub-threshold entries lead some columns
+            V[rng.random(V.shape) < 0.3] = 0.0
+            V[rng.random(V.shape) < 0.2] = -0.0
+            V[rng.random(V.shape) < 0.2] = 1e-13 * rng.choice([-1.0, 1.0])
+            expected = loop_reference(V)
+            got = _fix_column_signs(V)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_sigma1_matches_spectral_norm(self):
         rng = np.random.default_rng(15)
@@ -131,6 +154,42 @@ class TestEstimateRank:
         with pytest.raises(ValueError):
             estimate_rank_d(np.eye(3), epsilon=0.0)
 
+    def test_nan_epsilon_rejected(self):
+        # NaN fails every comparison, so it would run the search to full rank
+        M = random_symmetric(40, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="epsilon"):
+            embed(M, epsilon=float("nan"))
+
+    def test_one_norm_solve_per_sign_flip(self, monkeypatch):
+        calls = {"norm": 0, "flip": 0}
+        original_norm = netchange.embedding.spectral_norm
+        original_flip = netchange.embedding.random_sign_flip
+
+        def norm(*args, **kwargs):
+            calls["norm"] += 1
+            return original_norm(*args, **kwargs)
+
+        def flip(*args, **kwargs):
+            calls["flip"] += 1
+            return original_flip(*args, **kwargs)
+
+        monkeypatch.setattr(netchange.embedding, "spectral_norm", norm)
+        monkeypatch.setattr(netchange.embedding, "random_sign_flip", flip)
+        M = random_symmetric(30, np.random.default_rng(6))
+        estimate_rank_d(M, epsilon=1e-4, rng=np.random.default_rng(0))
+        assert calls["flip"] > 1
+        assert calls["norm"] == calls["flip"]
+
+    def test_residual_norms_read_off_the_spectrum(self, monkeypatch):
+        # With the flipped norm forced to 0, rho_k = |lambda_{k+2}| / ||R_k||_F
+        # exactly: 0.8 / 0.801 > 0.5 at k=1 and 0.01 / 0.041 <= 0.5 at k=2.
+        monkeypatch.setattr(netchange.embedding, "spectral_norm", lambda *a, **k: 0.0)
+        evals = np.array([1.0, 0.9, 0.8] + [0.01] * 17)
+        Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((20, 20)))
+        M = (Q * evals) @ Q.T
+        M = (M + M.T) / 2.0
+        assert estimate_rank_d(M, epsilon=0.5, rng=np.random.default_rng(0)) == 2
+
     def test_three_block_matrix_selects_two(self):
         M = three_block_matrix()
         hits = sum(
@@ -146,6 +205,10 @@ class TestEstimateRank:
 
 
 class TestEmbed:
+    def test_rejects_single_row(self):
+        with pytest.raises(ValueError, match="2 rows"):
+            embed(np.array([[1.0]]))
+
     def test_2x2_second_vector(self):
         e = embed(np.array([[0.1, 0.9], [0.9, 0.1]]))
         assert e.d == 1

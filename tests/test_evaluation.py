@@ -164,6 +164,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec, methods=("act",), windows=(4,), runs=1, seed=0, N=100)
 
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_runs_must_be_positive(self, runs):
+        with pytest.raises(ValueError, match="runs"):
+            run_experiment(tiny_spec(), methods=("act",), windows=(2,), runs=runs, N=100)
+
     def test_performance_rows_sorted_and_complete(self):
         spec = tiny_spec()
         result = run_experiment(spec, methods=("act",), windows=(2,), runs=2, seed=3, N=500)

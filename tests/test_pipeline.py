@@ -42,6 +42,17 @@ def block_snapshot(t, n=30, weights=(1.0, 2.0, 3.0)):
     return SnapshotMatrix(W=W, t=t)
 
 
+class TestCdpConfig:
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon_rank"):
+            CdpConfig(epsilon_rank=float("nan"))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="zscore_threshold"):
+            CdpConfig(zscore_threshold=threshold)
+
+
 class TestNormalizeAndDetect:
     def test_single_spike_detected(self):
         z = np.zeros(50)
