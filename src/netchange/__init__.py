@@ -15,7 +15,6 @@ from .baselines import (
     act_scores,
     activity,
     actm_scores,
-    run_baseline,
 )
 from .dcsbm import (
     ConstantTheta,
@@ -56,7 +55,9 @@ from .evaluation import (
     estimate_phi,
     log_odds,
     log_odds_ratio,
+    run_cdp,
     run_experiment,
+    score_sequence,
     sign_test,
 )
 from .graph import (
@@ -72,7 +73,6 @@ from .pipeline import (
     ScoreSeries,
     cdp_scores,
     normalize_and_detect,
-    run_cdp,
     sweep,
 )
 from .procrustes import (

@@ -18,7 +18,7 @@ from .errors import EmptyGraph
 from .graph import SnapshotMatrix
 # normalize_and_detect is imported for callers that rebind it here by
 # module (layer tracing); the sweep itself normalizes through pipeline.
-from .pipeline import CdpConfig, ScoreSeries, normalize_and_detect, sweep  # noqa: F401
+from .pipeline import normalize_and_detect  # noqa: F401
 from .procrustes import ScoreVector
 
 ACTIVITY_TOL = 1e-13
@@ -111,21 +111,3 @@ def actm_scores(window: list[ActivityVector], current: ActivityVector) -> ScoreV
     projected = basis @ (basis.T @ current.u)
     return ScoreVector(z=np.abs(projected - current.u), t=current.t)
 
-
-def run_baseline(
-    snapshots: list[SnapshotMatrix],
-    config: CdpConfig,
-    kind: str,
-) -> ScoreSeries:
-    """Activity extraction plus window scoring over a snapshot sequence."""
-    # built per call, so a rebinding of either scorer at module level is seen
-    scorers = {"act": act_scores, "actm": actm_scores}
-    if kind not in scorers:
-        raise ValueError(f"unknown baseline {kind!r}")
-    return sweep(
-        snapshots,
-        activity,
-        {kind: scorers[kind]},
-        (config.window,),
-        config.zscore_threshold,
-    )[(kind, config.window)]

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import run_baseline
 from .dcsbm import (
     DEFAULT_CHANGE_INSTANT,
     DEFAULT_INTERVAL,
@@ -37,11 +36,15 @@ from .dcsbm import (
 )
 from .embedding import DEFAULT_RANK_EPSILON
 from .errors import FormatError, NetchangeError
-from .evaluation import performance_rows, run_experiment
+from .evaluation import (
+    DEFAULT_PHI_SAMPLES,
+    METHODS,
+    performance_rows,
+    run_experiment,
+    score_sequence,
+)
 from .graph import SnapshotMatrix
-from .pipeline import DEFAULT_ZSCORE_THRESHOLD, CdpConfig, run_cdp
-
-METHODS = ("cdp", "act", "actm")
+from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +261,8 @@ def cmd_detect(args, stages: StageTimer) -> int:
     with stages("ingest"):
         snapshots = ingest_sequence(args.input)
     with stages("score"):
-        if args.method == "cdp":
-            series = run_cdp(snapshots, config)
-        else:
-            series = run_baseline(snapshots, config, kind=args.method)
+        method, w = args.method, args.window
+        series = score_sequence(snapshots, config, (method,), (w,))[(method, w)]
     with stages("write"):
         score_rows = []
         for t in series.scored_instants():
@@ -299,9 +300,6 @@ def cmd_detect(args, stages: StageTimer) -> int:
 def cmd_evaluate(args, stages: StageTimer) -> int:
     out = _out_dir(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
     windows = tuple(int(w) for w in args.windows.split(","))
     with stages("build-scenario"):
         spec = _scenario_spec(args)
@@ -378,6 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="netchange_out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="random seed")
 
+    def epsilon_arg(p):
+        p.add_argument(
+            "--epsilon", type=float, default=DEFAULT_RANK_EPSILON,
+            help="rank-selection residual threshold",
+        )
+
     def scenario_args(p):
         p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
         p.add_argument(
@@ -399,11 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(det)
     det.add_argument("--input", required=True, help="edge-list file (t i j weight)")
     det.add_argument("--method", default="cdp", choices=METHODS)
-    det.add_argument("--window", type=int, default=5, help="profile window size")
-    det.add_argument(
-        "--epsilon", type=float, default=DEFAULT_RANK_EPSILON,
-        help="rank-selection residual threshold",
-    )
+    det.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="profile window size")
+    epsilon_arg(det)
     det.add_argument(
         "--threshold", type=float, default=DEFAULT_ZSCORE_THRESHOLD,
         help="z-score detection cutoff",
@@ -413,12 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="simulation experiment with performance tables")
     common(ev)
     scenario_args(ev)
-    ev.add_argument("--methods", default="cdp,act,actm", help="comma-separated methods")
-    ev.add_argument("--windows", default="5", help="comma-separated window sizes")
+    ev.add_argument("--methods", default=",".join(METHODS), help="comma-separated methods")
+    ev.add_argument("--windows", default=str(DEFAULT_WINDOW), help="comma-separated window sizes")
     ev.add_argument("--runs", type=int, default=100)
-    ev.add_argument("--epsilon", type=float, default=DEFAULT_RANK_EPSILON)
+    epsilon_arg(ev)
     ev.add_argument(
-        "--phi-samples", type=int, default=100_000,
+        "--phi-samples", type=int, default=DEFAULT_PHI_SAMPLES,
         help="resampling count for the exceedance probability",
     )
     ev.set_defaults(func=cmd_evaluate)

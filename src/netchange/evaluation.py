@@ -1,4 +1,7 @@
-"""Score-separation measures, sign tests, and the simulation experiment driver.
+"""Method dispatch, score-separation measures, sign tests, and the experiment driver.
+
+`detect` and `evaluate` both score through `score_sequence`, the one table
+of detection methods and the feature each one scores.
 
 A method's detection quality on a simulated scenario is summarized by the
 exceedance probability phi: the chance that a randomly chosen changed
@@ -20,10 +23,48 @@ from . import baselines
 from .dcsbm import ScenarioSpec, generate_sequence
 from .embedding import DEFAULT_RANK_EPSILON
 from .errors import EmptyPartition, UndefinedTest
-from .pipeline import CdpConfig, cdp_scores, embed_snapshot, sweep
+from .graph import SnapshotMatrix
+from .pipeline import DEFAULT_WINDOW, CdpConfig, ScoreSeries, cdp_scores, embed_snapshot, sweep
 
 DEFAULT_PHI_SAMPLES = 100_000
-METHOD_ORDER = {"cdp": 0, "act": 1, "actm": 2}
+# Table order: it orders output rows, and a method's index seeds its phi stream.
+METHODS = ("cdp", "act", "actm")
+
+
+def _ordered_methods(methods) -> tuple[str, ...]:
+    """`methods` without repeats, in table order; an unknown name is an error."""
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}; expected a subset of {METHODS}")
+    return tuple(m for m in METHODS if m in methods)
+
+
+def score_sequence(
+    snapshots: list[SnapshotMatrix],
+    config: CdpConfig,
+    methods: tuple[str, ...],
+    windows: tuple[int, ...],
+) -> dict[tuple[str, int], ScoreSeries]:
+    """One series per (method, w); `windows` is used, `config.window` is not.
+
+    cdp scores the spectral embedding; act and actm share one activity vector
+    per snapshot.  Built per call, so a module-level rebinding of any of
+    these functions (layer tracing, tests) is seen.
+    """
+    methods = _ordered_methods(methods)
+    table = (
+        (lambda snap: embed_snapshot(snap, config), {"cdp": cdp_scores}),
+        (baselines.activity, {"act": baselines.act_scores, "actm": baselines.actm_scores}),
+    )
+    out = {}
+    for extract, scorers in table:
+        if wanted := {m: f for m, f in scorers.items() if m in methods}:
+            out.update(sweep(snapshots, extract, wanted, windows, config.zscore_threshold))
+    return out
+
+
+def run_cdp(snapshots: list[SnapshotMatrix], config: CdpConfig) -> ScoreSeries:
+    """Score every instant of a snapshot sequence against its window profile."""
+    return score_sequence(snapshots, config, ("cdp",), (config.window,))[("cdp", config.window)]
 
 
 def estimate_phi(
@@ -104,7 +145,6 @@ class PerformanceSeries:
     phi: dict[tuple[int, int], float] = field(default_factory=dict)
     eta: dict[tuple[int, int], float] = field(default_factory=dict)
     eta_bar: dict[tuple[int, int], float] = field(default_factory=dict)
-    N: int = DEFAULT_PHI_SAMPLES
 
     def eta_at(self, t: int) -> np.ndarray:
         """eta across runs at one instant, ordered by run index."""
@@ -121,10 +161,7 @@ class ExperimentResult:
     """Everything produced by one simulation experiment."""
 
     scenario: str
-    n: int
-    change_instant: int
     runs: int
-    seed: int
     series: dict[tuple[str, int], PerformanceSeries]
     sign_tests: list[dict]
     proportions: list[dict]
@@ -138,33 +175,14 @@ def run_seed(base_seed: int, run_index: int) -> int:
 
 def _phi_rng(seed: int, method: str, window: int) -> np.random.Generator:
     return np.random.default_rng(
-        np.random.SeedSequence((seed, METHOD_ORDER[method], window, 0xF1))
+        np.random.SeedSequence((seed, METHODS.index(method), window, 0xF1))
     )
-
-
-def _feature_groups(methods: tuple[str, ...], seed: int, epsilon_rank: float) -> list:
-    """(extract, scorers) per feature the methods need.
-
-    cdp scores the spectral embedding; act and actm share one activity
-    vector per snapshot.  Built per call, so a module-level rebinding of
-    any of these functions (layer tracing, tests) is seen.
-    """
-    config = CdpConfig(epsilon_rank=epsilon_rank, seed=seed)
-    groups = (
-        (lambda snap: embed_snapshot(snap, config), {"cdp": cdp_scores}),
-        (baselines.activity, {"act": baselines.act_scores, "actm": baselines.actm_scores}),
-    )
-    return [
-        (extract, wanted)
-        for extract, scorers in groups
-        if (wanted := {m: f for m, f in scorers.items() if m in methods})
-    ]
 
 
 def run_experiment(
     spec: ScenarioSpec,
-    methods: tuple[str, ...] = ("cdp", "act", "actm"),
-    windows: tuple[int, ...] = (5,),
+    methods: tuple[str, ...] = METHODS,
+    windows: tuple[int, ...] = (DEFAULT_WINDOW,),
     runs: int = 100,
     seed: int = 0,
     N: int = DEFAULT_PHI_SAMPLES,
@@ -176,7 +194,7 @@ def run_experiment(
     sequence so cross-method comparisons are paired.  Sign tests and
     proportion tables compare eta at the change instant.
     """
-    methods = tuple(sorted(set(methods), key=METHOD_ORDER.__getitem__))
+    methods = _ordered_methods(methods)
     windows = tuple(sorted(set(windows)))
     if not methods or not windows:
         raise ValueError("need at least one method and one window")
@@ -189,30 +207,31 @@ def run_experiment(
     changed = spec.changed_vertices
     unchanged = spec.unchanged_vertices
 
-    series = {(m, w): PerformanceSeries(N=N) for m in methods for w in windows}
-    embed_times: dict[str, list[float]] = {m: [] for m in methods}
-    score_times: dict[str, list[float]] = {m: [] for m in methods}
+    series = {(m, w): PerformanceSeries() for m in methods for w in windows}
+    seconds: dict[tuple[str, str], list[float]] = {
+        (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
+    }
 
     for run in range(runs):
         rseed = run_seed(seed, run)
         snapshots = generate_sequence(spec, np.random.default_rng(rseed))
-        for extract, scorers in _feature_groups(methods, rseed, epsilon_rank):
-            for (method, w), result in sweep(snapshots, extract, scorers, windows).items():
-                if w == windows[0]:
-                    embed_times[method].extend(result.embed_seconds.values())
-                score_times[method].extend(result.score_seconds.values())
-                rng = _phi_rng(rseed, method, w)
-                perf = series[(method, w)]
-                prev_eta = None
-                for t in result.scored_instants():
-                    z = result.scores[t].z
-                    phi = estimate_phi(z[changed], z[unchanged], N, rng)
-                    eta = log_odds(phi)
-                    perf.phi[(run, t)] = phi
-                    perf.eta[(run, t)] = eta
-                    if prev_eta is not None:
-                        perf.eta_bar[(run, t)] = eta - prev_eta
-                    prev_eta = eta
+        config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
+        for (method, w), result in score_sequence(snapshots, config, methods, windows).items():
+            if w == windows[0]:
+                seconds[("embedding", method)].extend(result.embed_seconds.values())
+            seconds[("profile_and_scores", method)].extend(result.score_seconds.values())
+            rng = _phi_rng(rseed, method, w)
+            perf = series[(method, w)]
+            prev_eta = None
+            for t in result.scored_instants():
+                z = result.scores[t].z
+                phi = estimate_phi(z[changed], z[unchanged], N, rng)
+                eta = log_odds(phi)
+                perf.phi[(run, t)] = phi
+                perf.eta[(run, t)] = eta
+                if prev_eta is not None:
+                    perf.eta_bar[(run, t)] = eta - prev_eta
+                prev_eta = eta
 
     sign_rows: list[dict] = []
     prop_rows: list[dict] = []
@@ -249,27 +268,14 @@ def run_experiment(
                     }
                 )
 
-    timing_rows = []
-    for method in methods:
-        for task, values in (
-            ("embedding", embed_times[method]),
-            ("profile_and_scores", score_times[method]),
-        ):
-            timing_rows.append(
-                {
-                    "task": task,
-                    "method": method,
-                    "n": spec.n,
-                    "mean_seconds": float(np.mean(values)) if values else float("nan"),
-                }
-            )
+    timing_rows = [
+        {"task": task, "method": method, "n": spec.n, "mean_seconds": float(np.mean(values))}
+        for (task, method), values in seconds.items()
+    ]
 
     return ExperimentResult(
         scenario=spec.name,
-        n=spec.n,
-        change_instant=t_change,
         runs=runs,
-        seed=seed,
         series=series,
         sign_tests=sign_rows,
         proportions=prop_rows,
@@ -281,7 +287,7 @@ def performance_rows(result: ExperimentResult) -> list[dict]:
     """Flatten an experiment into plot-ready rows, sorted for stable output."""
     rows = []
     for (method, window), perf in sorted(
-        result.series.items(), key=lambda kv: (METHOD_ORDER[kv[0][0]], kv[0][1])
+        result.series.items(), key=lambda kv: (METHODS.index(kv[0][0]), kv[0][1])
     ):
         for (run, t), phi in sorted(perf.phi.items()):
             rows.append(

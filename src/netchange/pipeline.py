@@ -25,6 +25,7 @@ from .errors import EmptyGraph
 from .graph import SnapshotMatrix, representation_matrix
 from .procrustes import ScoreVector, change_scores, profile_embedding
 
+DEFAULT_WINDOW = 5
 DEFAULT_ZSCORE_THRESHOLD = 5.0
 DEGENERATE_STD = 1e-14
 
@@ -41,7 +42,7 @@ class CdpConfig:
         seed: base seed for the per-snapshot randomized rank selection.
     """
 
-    window: int = 5
+    window: int = DEFAULT_WINDOW
     epsilon_rank: float = DEFAULT_RANK_EPSILON
     zscore_threshold: float = DEFAULT_ZSCORE_THRESHOLD
     seed: int = 0
@@ -132,6 +133,8 @@ def sweep(
     instant.  Time indices must be consecutive: a missing instant would
     otherwise be profiled against the wrong past.
     """
+    if min(windows) < 1:
+        raise ValueError(f"windows must be >= 1, got {min(windows)}")
     depth = max(windows)
     if len(snapshots) <= depth:
         raise ValueError(
@@ -171,13 +174,3 @@ def sweep(
         recent.append(feature)
     return out
 
-
-def run_cdp(snapshots: list[SnapshotMatrix], config: CdpConfig) -> ScoreSeries:
-    """Score every instant of a snapshot sequence against its window profile."""
-    return sweep(
-        snapshots,
-        lambda snap: embed_snapshot(snap, config),
-        {"cdp": cdp_scores},
-        (config.window,),
-        config.zscore_threshold,
-    )[("cdp", config.window)]

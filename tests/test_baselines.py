@@ -9,7 +9,7 @@ from netchange import (
     act_scores,
     activity,
     actm_scores,
-    run_baseline,
+    score_sequence,
 )
 
 
@@ -139,20 +139,22 @@ class TestActmScores:
         assert actm_scores(window, current).z.max() < 1e-10
 
 
-class TestRunBaseline:
+class TestScoreSequence:
     def test_series_shape(self):
         snapshots = [random_graph(10, seed=s, t=s + 1) for s in range(6)]
-        series = run_baseline(snapshots, CdpConfig(window=3), kind="actm")
+        swept = score_sequence(snapshots, CdpConfig(), ("actm",), (3,))
+        assert set(swept) == {("actm", 3)}
+        series = swept[("actm", 3)]
         assert series.scored_instants() == [4, 5, 6]
         assert all(series.dims[t] == 1 for t in range(1, 7))
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_method_rejected(self):
         snapshots = [random_graph(10, seed=s, t=s + 1) for s in range(3)]
-        with pytest.raises(ValueError):
-            run_baseline(snapshots, CdpConfig(window=1), kind="pca")
+        with pytest.raises(ValueError, match="'pca'"):
+            score_sequence(snapshots, CdpConfig(), ("act", "pca"), (1,))
 
     def test_empty_snapshot_names_instant(self):
         snapshots = [random_graph(10, seed=s, t=s + 1) for s in range(4)]
         snapshots[1] = SnapshotMatrix(W=np.zeros((10, 10)), t=2)
         with pytest.raises(EmptyGraph, match="t=2"):
-            run_baseline(snapshots, CdpConfig(window=2), kind="act")
+            score_sequence(snapshots, CdpConfig(), ("act",), (2,))

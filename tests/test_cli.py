@@ -252,3 +252,12 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert "pca" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_nonpositive_window_fails(self, tmp_path, capsys, window):
+        code = main(
+            ["evaluate", "--scenario", "merge", "--scale", "0.1", "--methods", "act",
+             "--windows", window, "--runs", "1", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "windows must be >= 1" in capsys.readouterr().err

@@ -164,6 +164,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec, methods=("act",), windows=(4,), runs=1, seed=0, N=100)
 
+    def test_unknown_method_named(self):
+        with pytest.raises(ValueError, match="'pca'"):
+            run_experiment(tiny_spec(), methods=("pca",), windows=(2,), runs=1, N=100)
+
     @pytest.mark.parametrize("runs", [0, -2])
     def test_runs_must_be_positive(self, runs):
         with pytest.raises(ValueError, match="runs"):

@@ -13,9 +13,9 @@ from netchange import (
     generate_sequence,
     normalize_and_detect,
     pre_shape,
-    run_baseline,
     run_cdp,
     scenario,
+    score_sequence,
     sweep,
 )
 from netchange.embedding import Embedding
@@ -207,9 +207,15 @@ class TestSweep:
             assert single.scored_instants() == list(range(w + 1, 9))
             self.assert_same_series(swept[("cdp", w)], single)
 
+    @pytest.mark.parametrize("windows", [(0,), (-1, 2)])
+    def test_nonpositive_window_rejected(self, windows):
+        snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
+        with pytest.raises(ValueError, match="windows must be >= 1"):
+            sweep(snapshots, activity, {"actm": actm_scores}, windows)
+
     def test_actm_multi_window_matches_single_window_runs(self):
         snapshots = [fixed_snapshot(15, seed=50 + t, t=t) for t in range(1, 9)]
         swept = sweep(snapshots, activity, {"actm": actm_scores}, self.WINDOWS)
         for w in self.WINDOWS:
-            single = run_baseline(snapshots, CdpConfig(window=w), kind="actm")
+            single = score_sequence(snapshots, CdpConfig(window=w), ("actm",), (w,))[("actm", w)]
             self.assert_same_series(swept[("actm", w)], single)

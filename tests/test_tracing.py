@@ -1,4 +1,4 @@
-"""The benchmark's layer tracer must see every layer of a detect run.
+"""The benchmark's layer tracer must see every layer of a detect or evaluate run.
 
 The tracer rebinds functions at the module where their caller looks them
 up.  A caller that captured a function object at import time (say, in a
@@ -15,6 +15,7 @@ import netchange.embedding
 import netchange.pipeline
 from netchange import SnapshotMatrix
 from netchange.cli import main, write_sequence
+from netchange.dcsbm import DEFAULT_T
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -26,6 +27,7 @@ CDP_LAYERS = (
     "pipeline.normalize",
 )
 ACT_LAYERS = ("baselines.activity", "baselines.window_score", "pipeline.normalize")
+EVALUATE_LAYERS = CDP_LAYERS + ACT_LAYERS + ("dcsbm.generate", "evaluation.phi")
 
 
 def load_tracing():
@@ -43,13 +45,18 @@ def traced_spans(tmp_path, method):
         snaps.append(SnapshotMatrix(W=upper + upper.T, t=t))
     edges = tmp_path / f"{method}.tsv"
     write_sequence(edges, snaps)
+    return traced_counts(
+        ["detect", "--input", str(edges), "--method", method, "--window", "2",
+         "--out", str(tmp_path / method)]
+    )
+
+
+def traced_counts(argv):
+    """Spans per layer name of one traced CLI call."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        code = main(
-            ["detect", "--input", str(edges), "--method", method, "--window", "2",
-             "--out", str(tmp_path / method)]
-        )
+        code = main(argv)
     finally:
         tracer.uninstall()
     assert code == 0
@@ -67,3 +74,19 @@ def test_every_layer_records_spans(tmp_path):
         assert act.get(layer, 0) > 0, layer
     assert act["baselines.activity"] == 4
     assert act["baselines.window_score"] == 2
+
+
+def test_evaluate_records_every_layer(tmp_path):
+    counts = traced_counts(
+        ["evaluate", "--scenario", "group-change", "--scale", "0.1",
+         "--methods", "cdp,act,actm", "--windows", "1,2", "--runs", "1",
+         "--phi-samples", "1000", "--out", str(tmp_path / "ev")]
+    )
+    for layer in EVALUATE_LAYERS:
+        assert counts.get(layer, 0) > 0, layer
+    assert counts["dcsbm.generate"] == 1
+    # act and actm share one activity vector per snapshot
+    assert counts["baselines.activity"] == DEFAULT_T
+    scored = (DEFAULT_T - 1) + (DEFAULT_T - 2)  # windows 1 and 2
+    assert counts["baselines.window_score"] == 2 * scored
+    assert counts["evaluation.phi"] == 3 * scored
