@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +58,12 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
     The vertex count is `n` when given, else one past the largest index
     seen anywhere in the file.  An edge listed once is mirrored; listing
     both orientations (or repeating a line) is accepted only when the
-    weights agree.
+    weights agree.  Lines are read into flat arrays, so the parse holds
+    about 40 bytes per line rather than a Python object per edge.
     """
     path = Path(path)
-    edges: dict[int, dict[tuple[int, int], float]] = {}
-    max_vertex = -1
+    times, firsts, seconds, linenos = (array("q") for _ in range(4))
+    weights = array("d")
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -88,32 +90,45 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
                 raise FormatError(f"{path.name}:{lineno}: vertex indices must be >= 0")
             if not np.isfinite(weight):
                 raise FormatError(f"{path.name}:{lineno}: weight must be finite")
-            key = (min(i, j), max(i, j))
-            snapshot = edges.setdefault(t, {})
-            if key in snapshot and snapshot[key] != weight:
-                raise FormatError(
-                    f"{path.name}:{lineno}: conflicting weight for edge {key} at t={t}: "
-                    f"{snapshot[key]} vs {weight}"
-                )
-            snapshot[key] = weight
-            max_vertex = max(max_vertex, i, j)
-    if not edges:
+            times.append(t)
+            firsts.append(i)
+            seconds.append(j)
+            linenos.append(lineno)
+            weights.append(weight)
+    if not times:
         raise FormatError(f"{path.name}: no edges found")
+    t, i, j = np.array(times), np.array(firsts), np.array(seconds)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    size = int(hi.max()) + 1
+    # group the lines by (t, pair), each group in file order
+    order = np.lexsort((lo * size + hi, t))
+    t, lo, hi = t[order], lo[order], hi[order]
+    w, line = np.array(weights)[order], np.array(linenos)[order]
+    first = np.ones(t.size, dtype=bool)
+    first[1:] = (t[1:] != t[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    agreed = w[first][np.cumsum(first) - 1]
+    clash = np.flatnonzero(w != agreed)
+    if clash.size:
+        k = clash[np.argmin(line[clash])]
+        raise FormatError(
+            f"{path.name}:{line[k]}: conflicting weight for edge {(int(lo[k]), int(hi[k]))} "
+            f"at t={t[k]}: {float(agreed[k])} vs {float(w[k])}"
+        )
     if n is None:
-        n = max_vertex + 1
-    elif max_vertex >= n:
-        raise FormatError(f"{path.name}: vertex index {max_vertex} exceeds n={n}")
+        n = size
+    elif size > n:
+        raise FormatError(f"{path.name}: vertex index {size - 1} exceeds n={n}")
     if n < 2:
         raise FormatError(f"{path.name}: need at least 2 vertices, inferred n={n}")
 
-    snapshots = []
-    for t in sorted(edges):
-        W = np.zeros((n, n))
-        for (i, j), weight in edges[t].items():
-            W[i, j] = weight
-            W[j, i] = weight
-        snapshots.append(SnapshotMatrix(W=W, t=t))
-    return snapshots
+    t, lo, hi, w = t[first], lo[first], hi[first], w[first]
+    instants, starts = np.unique(t, return_index=True)
+    return [
+        SnapshotMatrix.from_edges(n, rows, cols, weights, int(at))
+        for at, rows, cols, weights in zip(
+            instants, np.split(lo, starts[1:]), np.split(hi, starts[1:]), np.split(w, starts[1:])
+        )
+    ]
 
 
 def _format_weight(w: float) -> str:
@@ -124,9 +139,9 @@ def write_sequence(path: str | Path, snapshots: list[SnapshotMatrix]) -> None:
     """Write snapshots as a sorted edge list; zero entries are omitted."""
     lines = []
     for snap in snapshots:
-        rows, cols = np.nonzero(np.triu(snap.W))
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            lines.append(f"{snap.t} {i} {j} {_format_weight(snap.W[i, j])}")
+        rows, cols, weights = snap.edges
+        for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
+            lines.append(f"{snap.t} {i} {j} {_format_weight(w)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -261,7 +276,7 @@ def cmd_detect(args, stages: StageTimer) -> int:
     with stages("ingest"):
         snapshots = ingest_sequence(args.input)
     with stages("score"):
-        method, w = args.method, args.window
+        method, w = args.method, config.window
         series = score_sequence(snapshots, config, (method,), (w,))[(method, w)]
     with stages("write"):
         score_rows = []

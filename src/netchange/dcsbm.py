@@ -153,10 +153,8 @@ def sample_snapshot(
     means = np.outer(theta, theta) * psi(model)[np.ix_(c, c)]
     n = model.n
     iu = np.triu_indices(n, k=1)
-    W = np.zeros((n, n))
-    W[iu] = rng.poisson(means[iu]).astype(float)
-    W += W.T
-    return SnapshotMatrix(W=W, t=t)
+    weights = rng.poisson(means[iu]).astype(float)
+    return SnapshotMatrix.from_edges(n, iu[0], iu[1], weights, t)
 
 
 def _scaled_sizes(sizes: tuple[int, ...], scale: float | None) -> tuple[int, ...]:

@@ -73,10 +73,12 @@ def spectral_norm(
 ) -> float:
     """Largest absolute eigenvalue of a symmetric matrix by power iteration.
 
-    Stops when the norm estimate changes by less than `tol` relatively, or
-    after `max_iter` sweeps.  A zero matrix returns 0.
+    `M` must be square and symmetric; this is not checked (`embed` checks
+    its input once, and the residuals built from it are symmetric).  Stops
+    when the norm estimate changes by less than `tol` relatively, or after
+    `max_iter` sweeps.  A zero matrix returns 0.
     """
-    M = _check_symmetric(M)
+    M = np.asarray(M, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
     n = M.shape[0]
@@ -98,10 +100,11 @@ def spectral_norm(
 def random_sign_flip(R: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Flip the sign of each entry independently with probability 1/2.
 
-    Signs are drawn for the upper triangle (diagonal included) and mirrored,
-    so the output stays symmetric and the Frobenius norm is preserved exactly.
+    `R` must be square and symmetric; this is not checked.  Signs are drawn
+    for the upper triangle (diagonal included) and mirrored, so the output
+    stays symmetric and the Frobenius norm is preserved exactly.
     """
-    R = _check_symmetric(R)
+    R = np.asarray(R, dtype=float)
     n = R.shape[0]
     draws = rng.integers(0, 2, size=(n, n)) * 2 - 1
     signs = np.triu(draws) + np.triu(draws, 1).T

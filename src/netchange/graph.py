@@ -4,8 +4,11 @@ A dynamic network is a time sequence of symmetric, nonnegative, weighted
 adjacency matrices over a fixed vertex set.  Each snapshot is preprocessed
 (log transform, max scaling), regularized by a uniform additive term, and
 degree-normalized to yield the representation matrix that downstream
-spectral embedding consumes.  All functions here are pure; snapshot arrays
-are locked read-only at construction so values can be shared freely.
+spectral embedding consumes.  All functions here are pure.  A snapshot is
+held as its nonzero upper triangle, so a sparse sequence costs memory in
+proportion to its edges, not to T * n^2; the dense matrix is built on
+demand, read-only, and every stored array is read-only too, so values can
+be shared freely.
 """
 
 from __future__ import annotations
@@ -23,20 +26,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SnapshotMatrix:
     """One weighted adjacency matrix of the dynamic network.
 
+    Built from a dense matrix, `SnapshotMatrix(W, t)`, or from an edge list,
+    `SnapshotMatrix.from_edges(n, rows, cols, weights, t)`.
+
     Attributes:
-        W: n x n symmetric matrix of nonnegative edge weights.
+        n: number of vertices.
         t: 1-based time index of the snapshot.
+        edges: read-only `(rows, cols, weights)` of the nonzero upper
+            triangle, diagonal included, in row-major order.
     """
 
-    W: np.ndarray
-    t: int = 1
+    n: int
+    t: int
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        W = _readonly(self.W)
+    def __init__(self, W: np.ndarray, t: int = 1):
+        W = np.asarray(W, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {W.shape}")
         if W.shape[0] < 2:
@@ -47,11 +56,58 @@ class SnapshotMatrix:
             raise InvalidWeight("edge weights must be nonnegative")
         if not np.array_equal(W, W.T):
             raise NotSymmetric("adjacency matrix must be symmetric")
-        object.__setattr__(self, "W", W)
+        rows, cols = np.nonzero(np.triu(W))
+        self._store(W.shape[0], rows, cols, W[rows, cols], t)
+
+    @classmethod
+    def from_edges(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, t: int = 1
+    ) -> SnapshotMatrix:
+        """Snapshot from an undirected edge list, without a dense matrix.
+
+        Each vertex pair appears at most once, in either orientation; pairs
+        not listed and zero weights are absent edges.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        weights = np.asarray(weights, dtype=float)
+        if n < 2:
+            raise ValueError("a snapshot needs at least 2 vertices")
+        if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
+            raise ValueError("rows, cols and weights must be 1-d arrays of one length")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError(f"vertex index out of range for n={n}")
+        if not np.all(np.isfinite(weights)):
+            raise InvalidWeight("edge weights must be finite")
+        if np.any(weights < 0):
+            raise InvalidWeight("edge weights must be nonnegative")
+        keep = weights != 0
+        rows, cols, weights = rows[keep], cols[keep], weights[keep]
+        key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("a vertex pair is listed more than once")
+        snap = cls.__new__(cls)
+        snap._store(n, *np.divmod(key, n), weights[order], t)
+        return snap
+
+    def _store(self, n, rows, cols, weights, t) -> None:
+        for a in (rows, cols, weights):
+            a.flags.writeable = False
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "edges", (rows, cols, weights))
 
     @property
-    def n(self) -> int:
-        return self.W.shape[0]
+    def W(self) -> np.ndarray:
+        """The dense n x n symmetric matrix: a new read-only array per access."""
+        rows, cols, weights = self.edges
+        W = np.zeros((self.n, self.n))
+        W[rows, cols] = weights
+        W[cols, rows] = weights
+        W.flags.writeable = False
+        return W
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,10 @@ def snapshot_rng(seed: int, t: int) -> np.random.Generator:
 
 def embed_snapshot(snapshot: SnapshotMatrix, config: CdpConfig) -> Embedding:
     """Representation matrix plus spectral embedding for one snapshot."""
-    rep = representation_matrix(snapshot)
+    # keep only M, so the scaled copy of W is freed before the embedding runs
+    M = representation_matrix(snapshot).M
     rng = snapshot_rng(config.seed, snapshot.t)
-    return embed(rep.M, epsilon=config.epsilon_rank, rng=rng, t=snapshot.t)
+    return embed(M, epsilon=config.epsilon_rank, rng=rng, t=snapshot.t)
 
 
 def cdp_scores(window: list[Embedding], current: Embedding) -> ScoreVector:

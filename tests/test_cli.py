@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ class TestIngest:
         with pytest.raises(FormatError):
             ingest_sequence(path)
 
+    def test_conflict_names_first_clashing_line(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "1 0 1 2\n2 0 1 5\n1 1 0 2\n2 2 1 1\n1 1 0 3\n2 1 0 4\n")
+        with pytest.raises(FormatError, match=r"e.tsv:5: .* edge \(0, 1\) at t=1: 2.0 vs 3.0"):
+            ingest_sequence(path)
+
     def test_non_numeric_weight_rejected(self, tmp_path):
         path = write(tmp_path / "e.tsv", "1 0 1 heavy\n")
         with pytest.raises(FormatError):
@@ -70,6 +76,43 @@ class TestIngest:
         for original, parsed in zip(snaps, back):
             assert parsed.t == original.t
             assert np.array_equal(parsed.W, original.W)
+
+    def test_round_trip_builds_no_dense_matrix(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        snaps = []
+        for t in (1, 2, 3):
+            upper = np.triu(rng.poisson(0.6, (9, 9)).astype(float))  # self-loops too
+            upper[1, 4] = 2.75
+            snaps.append(SnapshotMatrix(W=upper + np.triu(upper, 1).T, t=t))
+
+        def no_dense(snap):
+            raise AssertionError("dense W built")
+
+        monkeypatch.setattr(SnapshotMatrix, "W", property(no_dense))
+        first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_sequence(first, snaps)
+        write_sequence(second, ingest_sequence(first, n=9))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_ingest_holds_edges_not_dense_snapshots(self, tmp_path):
+        n, T = 400, 20
+        rng = np.random.default_rng(5)
+        lines = []
+        for t in range(1, T + 1):
+            for key in rng.choice(n * n, size=800, replace=False).tolist():
+                i, j = divmod(key, n)
+                lines.append(f"{t} {i} {j} {1 + (i + j) % 4}")
+            lines.append(f"{t} 0 {n - 1} 1")
+        path = write(tmp_path / "sparse.tsv", "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            snaps = ingest_sequence(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(snaps) == T and snaps[0].n == n
+        # the whole sequence costs less than one dense n x n snapshot
+        assert held < n * n * 8
 
 
 class TestConfigFile:

@@ -57,6 +57,75 @@ class TestSnapshotMatrix:
         with pytest.raises(ValueError):
             snap.W[0, 1] = 2.0
 
+    @staticmethod
+    def irregular_matrix():
+        """Non-integer weights, a self-loop and an isolated vertex (3)."""
+        rng = np.random.default_rng(21)
+        upper = np.triu(rng.random((7, 7)) * 3.7, k=1)
+        upper[rng.random((7, 7)) < 0.4] = 0.0
+        upper[:, 3] = 0.0
+        upper[3, :] = 0.0
+        W = upper + upper.T
+        W[5, 5] = 0.3
+        return W
+
+    def test_dense_round_trip_exact(self):
+        W = self.irregular_matrix()
+        snap = SnapshotMatrix(W, t=4)
+        assert np.array_equal(snap.W, W)
+        assert snap.n == 7 and snap.t == 4
+        assert not np.any(snap.W[3]) and snap.W[5, 5] == 0.3
+
+    def test_each_access_is_a_fresh_read_only_array(self):
+        snap = SnapshotMatrix(self.irregular_matrix())
+        first = snap.W
+        assert first is not snap.W
+        assert not first.flags.writeable
+        assert not any(a.flags.writeable for a in snap.edges)
+
+    def test_edges_are_the_upper_triangle_in_row_major_order(self):
+        W = self.irregular_matrix()
+        rows, cols, weights = SnapshotMatrix(W).edges
+        expected_rows, expected_cols = np.nonzero(np.triu(W))
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(cols, expected_cols)
+        assert np.array_equal(weights, W[expected_rows, expected_cols])
+
+    def test_from_edges_matches_dense_constructor(self):
+        W = self.irregular_matrix()
+        rows, cols = np.nonzero(np.triu(W))
+        order = np.random.default_rng(2).permutation(rows.size)
+        # shuffled, half of the pairs given lower-first, plus an explicit zero
+        # on the pair (0, 3), which the isolated vertex 3 leaves empty
+        r, c = rows[order], cols[order]
+        r[::2], c[::2] = c[::2].copy(), r[::2].copy()
+        weights = np.append(W[r, c], 0.0)
+        r, c = np.append(r, 0), np.append(c, 3)
+        snap = SnapshotMatrix.from_edges(7, r, c, weights, t=2)
+        dense = SnapshotMatrix(W, t=2)
+        assert np.array_equal(snap.W, dense.W)
+        for got, expected in zip(snap.edges, dense.edges):
+            assert np.array_equal(got, expected)
+        assert snap.n == 7 and snap.t == 2
+
+    @pytest.mark.parametrize("i,j", [(0, 7), (7, 0), (-1, 2)])
+    def test_from_edges_rejects_out_of_range_index(self, i, j):
+        with pytest.raises(ValueError, match="out of range"):
+            SnapshotMatrix.from_edges(7, [i], [j], [1.0])
+
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_from_edges_rejects_bad_weight(self, weight):
+        with pytest.raises(InvalidWeight):
+            SnapshotMatrix.from_edges(3, [0, 1], [1, 2], [1.0, weight])
+
+    def test_from_edges_rejects_single_vertex(self):
+        with pytest.raises(ValueError):
+            SnapshotMatrix.from_edges(1, [0], [0], [1.0])
+
+    def test_from_edges_rejects_repeated_pair(self):
+        with pytest.raises(ValueError, match="more than once"):
+            SnapshotMatrix.from_edges(3, [0, 2], [2, 0], [1.0, 1.0])
+
 
 class TestLogTransform:
     @pytest.mark.parametrize("value,expected", [(0.0, 0.0), (9.0, 1.0), (99.0, 2.0)])
