@@ -46,6 +46,7 @@ from .errors import (
     InvalidShape,
     InvalidWeight,
     NetchangeError,
+    NotConverged,
     NotSymmetric,
     UndefinedTest,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraph
+from .errors import EmptyGraph, NotConverged
 from .graph import SnapshotMatrix
 # normalize_and_detect is imported for callers that rebind it here by
 # module (layer tracing); the sweep itself normalizes through pipeline.
@@ -39,6 +39,19 @@ class ActivityVector:
         return 1
 
 
+def _mirrored_edges(snapshot: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero entry of W as (row, col, weight), sorted by row, then column.
+
+    The stored upper triangle is reflected once; a diagonal entry appears once.
+    """
+    rows, cols, weights = snapshot.edges
+    off = rows != cols
+    r = np.concatenate([rows, cols[off]])
+    c = np.concatenate([cols, rows[off]])
+    order = np.lexsort((c, r))
+    return r[order], c[order], np.concatenate([weights, weights[off]])[order]
+
+
 def activity(snapshot: SnapshotMatrix) -> ActivityVector:
     """Principal eigenvector of the adjacency matrix, Perron sign-fixed.
 
@@ -47,20 +60,31 @@ def activity(snapshot: SnapshotMatrix) -> ActivityVector:
     structure would otherwise stall the iteration) without changing the
     eigenvector.  Starting from a positive vector keeps every iterate
     nonnegative, so the result needs no sign cleanup beyond normalization.
+    Each product W v is summed over the stored edges, so a step costs
+    O(edges), not O(n^2).
+
+    Raises:
+        EmptyGraph: the snapshot has no edges.
+        NotConverged: ACTIVITY_MAX_ITER steps did not meet ACTIVITY_TOL.
     """
-    W = snapshot.W
-    if not np.any(W > 0):
+    r, c, a = _mirrored_edges(snapshot)
+    if a.size == 0:
         raise EmptyGraph("zero matrix has no principal eigenvector")
-    n = W.shape[0]
-    shift = float(np.abs(W).sum(axis=1).max())
+    n = snapshot.n
+    shift = float(np.bincount(r, weights=a, minlength=n).max())
     v = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(ACTIVITY_MAX_ITER):
-        w = W @ v + shift * v
+        w = np.bincount(r, weights=a * v[c], minlength=n) + shift * v
         w /= np.linalg.norm(w)
         if np.abs(w - v).max() <= ACTIVITY_TOL:
             v = w
             break
         v = w
+    else:
+        raise NotConverged(
+            f"activity power iteration at t={snapshot.t} did not converge "
+            f"in {ACTIVITY_MAX_ITER} steps"
+        )
     if v.sum() < 0:
         v = -v
     return ActivityVector(u=v, t=snapshot.t)

@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from array import array
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from .evaluation import (
     score_sequence,
 )
 from .graph import SnapshotMatrix
-from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig
+from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, ScoreSeries
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +165,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> None:
+    """Write a header and rows, one line each, without holding the whole text."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(_format_cell(v) for v in row) + "\n" for row in rows)
 
 
 class StageTimer:
@@ -265,6 +267,29 @@ def cmd_simulate(args, stages: StageTimer) -> int:
     return 0
 
 
+class _ScoreRows:
+    """The `scores.csv` rows of a series, made one scored instant at a time.
+
+    A sized view rather than a list, so the T * n rows are never held at
+    once; `len` is kept because the layer tracer (`bench/tracing.py`)
+    counts the rows that `write_csv` is given.
+    """
+
+    def __init__(self, series: ScoreSeries):
+        self.series = series
+
+    def __len__(self) -> int:
+        return sum(self.series.scores[t].z.size for t in self.series.scored_instants())
+
+    def __iter__(self) -> Iterator[tuple]:
+        series = self.series
+        for t in series.scored_instants():
+            detected = series.detections[t]
+            pairs = zip(series.scores[t].z.tolist(), series.zscores[t].tolist())
+            for v, (z, zhat) in enumerate(pairs):
+                yield (t, v, z, zhat, 1 if v in detected else 0)
+
+
 def cmd_detect(args, stages: StageTimer) -> int:
     out = _out_dir(args)
     config = CdpConfig(
@@ -279,17 +304,8 @@ def cmd_detect(args, stages: StageTimer) -> int:
         method, w = args.method, config.window
         series = score_sequence(snapshots, config, (method,), (w,))[(method, w)]
     with stages("write"):
-        score_rows = []
-        for t in series.scored_instants():
-            z = series.scores[t].z
-            zhat = series.zscores[t]
-            detected = series.detections[t]
-            for v in range(z.shape[0]):
-                score_rows.append(
-                    (t, v, float(z[v]), float(zhat[v]), 1 if v in detected else 0)
-                )
         scores_path = out / "scores.csv"
-        write_csv(scores_path, ["t", "vertex", "z", "zscore", "detected"], score_rows)
+        write_csv(scores_path, ["t", "vertex", "z", "zscore", "detected"], _ScoreRows(series))
         dims_path = out / "dims.csv"
         write_csv(dims_path, ["t", "d"], [(t, series.dims[t]) for t in sorted(series.dims)])
     write_manifest(

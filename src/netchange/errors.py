@@ -13,6 +13,10 @@ class EmptyGraph(NetchangeError):
     """A snapshot carries no edges, so there is no structure to embed."""
 
 
+class NotConverged(NetchangeError):
+    """An iterative solver ran out of steps before meeting its tolerance."""
+
+
 class NotSymmetric(NetchangeError):
     """A matrix required to be symmetric is not."""
 

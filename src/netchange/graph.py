@@ -20,12 +20,6 @@ import numpy as np
 from .errors import EmptyGraph, InvalidWeight, NotSymmetric
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class SnapshotMatrix:
     """One weighted adjacency matrix of the dynamic network.
@@ -172,4 +166,6 @@ def representation_matrix(snapshot: SnapshotMatrix) -> RepresentationMatrix:
     M = inv_sqrt[:, None] * W_tau * inv_sqrt[None, :]
     # enforce exact symmetry; the scaling above is symmetric only up to rounding
     M = (M + M.T) / 2.0
-    return RepresentationMatrix(M=_readonly(M), tau=tau, scaled_W=_readonly(scaled))
+    M.flags.writeable = False
+    scaled.flags.writeable = False
+    return RepresentationMatrix(M=M, tau=tau, scaled_W=scaled)

@@ -5,10 +5,12 @@ from netchange import (
     ActivityVector,
     CdpConfig,
     EmptyGraph,
+    NotConverged,
     SnapshotMatrix,
     act_scores,
     activity,
     actm_scores,
+    baselines,
     score_sequence,
 )
 
@@ -17,6 +19,36 @@ def random_graph(n, seed, t=1, density=0.4):
     rng = np.random.default_rng(seed)
     upper = np.triu((rng.random((n, n)) < density) * rng.random((n, n)) * 4.0, k=1)
     return SnapshotMatrix(W=upper + upper.T, t=t)
+
+
+def sparse_graph(n, seed, t=1):
+    """Sparse graph with isolated vertices, one self-loop and non-integer weights."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu((rng.random((n, n)) < 0.08) * rng.uniform(0.1, 3.0, (n, n)), k=1)
+    isolated = rng.choice(n, size=n // 5, replace=False)
+    upper[isolated, :] = 0.0
+    upper[:, isolated] = 0.0
+    loop = next(v for v in range(n) if v not in isolated)
+    upper[loop, loop] = 2.5
+    return SnapshotMatrix(W=upper + np.triu(upper, 1).T, t=t), np.sort(isolated)
+
+
+def dense_activity(snapshot):
+    """Reference: the power iteration with a dense W @ v per step."""
+    W = snapshot.W
+    n = W.shape[0]
+    shift = float(np.abs(W).sum(axis=1).max())
+    v = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(baselines.ACTIVITY_MAX_ITER):
+        w = W @ v + shift * v
+        w /= np.linalg.norm(w)
+        if np.abs(w - v).max() <= baselines.ACTIVITY_TOL:
+            v = w
+            break
+        v = w
+    if v.sum() < 0:
+        v = -v
+    return v
 
 
 def unit(v):
@@ -55,6 +87,39 @@ class TestActivity:
     def test_zero_matrix_raises(self):
         with pytest.raises(EmptyGraph):
             activity(SnapshotMatrix(W=np.zeros((4, 4))))
+
+    def test_never_builds_dense_matrix(self, monkeypatch):
+        snap, _ = sparse_graph(40, seed=1)
+
+        def no_dense(snap):
+            raise AssertionError("dense W built")
+
+        monkeypatch.setattr(SnapshotMatrix, "W", property(no_dense))
+        assert abs(np.linalg.norm(activity(snap).u) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_power_iteration(self, seed):
+        snap, _ = sparse_graph(60, seed=seed)
+        assert np.abs(activity(snap).u - dense_activity(snap)).max() <= 1e-12
+
+    def test_self_loop_counts_once_in_shift(self):
+        # the loop sets the largest row sum, so counting it twice would
+        # change the shift, the step count and so the returned bits; with
+        # power-of-two weights and at most two terms a row, both products
+        # round alike whatever order or fused multiply-add BLAS uses
+        W = np.array([[4.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+        snap = SnapshotMatrix(W=W)
+        assert np.array_equal(activity(snap).u, dense_activity(snap))
+
+    def test_isolated_vertices_tie_exactly(self):
+        snap, isolated = sparse_graph(60, seed=3)
+        u = activity(snap).u
+        assert np.unique(u[isolated]).size == 1
+
+    def test_non_convergence_names_instant(self, monkeypatch):
+        monkeypatch.setattr(baselines, "ACTIVITY_MAX_ITER", 3)
+        with pytest.raises(NotConverged, match=r"t=7\b.*3 steps"):
+            activity(random_graph(12, seed=5, t=7))
 
 
 class TestActScores:

@@ -10,6 +10,9 @@ relative, exceedance counts exactly and eta at t* to 1e-9.
 A deliberate behaviour change regenerates the fixture, and says why, with
 
     PYTHONPATH=src python tests/test_fingerprint.py
+
+which first lists, on standard error, every entry of the existing fixture
+that the test would reject, so that the change explains itself.
 """
 
 import hashlib
@@ -88,11 +91,39 @@ def test_outputs_match_fixture(tmp_path):
     assert fp.compare_evaluate(ref["evaluate"], got["evaluate"]) == {}
 
 
+def differences(ref: dict, got: dict) -> dict[str, dict]:
+    """What the test would reject in `got`, keyed by fixture section and entry."""
+    fp = load_fingerprint()
+    simulate = {
+        f"{seed}/{name}": "sha256 differs"
+        for seed, files in ref["simulate"].items()
+        for name, digest in files.items()
+        if got["simulate"].get(seed, {}).get(name) != digest
+    }
+    detect = {
+        key: fp.compare_detect(r, got["detect"][key], WINDOW) if key in got["detect"]
+        else "missing"
+        for key, r in ref["detect"].items()
+    }
+    return {
+        "simulate": simulate,
+        "detect": {k: v for k, v in detect.items() if v},
+        "evaluate": fp.compare_evaluate(ref["evaluate"], got["evaluate"]),
+    }
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         payload = record(Path(tmp))
+    if FIXTURE.exists():
+        changed = differences(json.loads(FIXTURE.read_text(encoding="utf-8")), payload)
+        for section, failed in changed.items():
+            for key, reason in failed.items():
+                print(f"changed {section} {key}: {reason}", file=sys.stderr)
+        if not any(changed.values()):
+            print("no fixture entry changed", file=sys.stderr)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE}", file=sys.stderr)
