@@ -137,13 +137,22 @@ def _format_weight(w: float) -> str:
 
 
 def write_sequence(path: str | Path, snapshots: list[SnapshotMatrix]) -> None:
-    """Write snapshots as a sorted edge list; zero entries are omitted."""
-    lines = []
-    for snap in snapshots:
-        rows, cols, weights = snap.edges
-        for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
-            lines.append(f"{snap.t} {i} {j} {_format_weight(w)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write snapshots as a sorted edge list, one snapshot's lines at a time.
+
+    Zero entries are omitted; a sequence with no edges at all is written as
+    one blank line.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        for snap in snapshots:
+            rows, cols, weights = snap.edges
+            handle.write(
+                "".join(
+                    f"{snap.t} {i} {j} {_format_weight(w)}\n"
+                    for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
+                )
+            )
+        if handle.tell() == 0:
+            handle.write("\n")
 
 
 def write_ground_truth(path: str | Path, spec: ScenarioSpec) -> None:

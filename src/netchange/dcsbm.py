@@ -149,12 +149,47 @@ def sample_snapshot(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.n,):
         raise ValueError(f"theta must have length {model.n}")
+    pairs = _upper_pairs(model.n)
+    return _draw(model, theta, pairs, _pair_blocks(model, pairs), rng, t)
+
+
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major `(rows, cols)` of every vertex pair i < j."""
+    return np.triu_indices(n, k=1)
+
+
+def _pair_blocks(model: DcsbmModel, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Flat index into the k x k `psi(model)` of each pair's two blocks."""
     c = model.memberships
-    means = np.outer(theta, theta) * psi(model)[np.ix_(c, c)]
-    n = model.n
-    iu = np.triu_indices(n, k=1)
-    weights = rng.poisson(means[iu]).astype(float)
-    return SnapshotMatrix.from_edges(n, iu[0], iu[1], weights, t)
+    return c[pairs[0]] * model.k + c[pairs[1]]
+
+
+def _pair_means(
+    model: DcsbmModel, theta: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], blocks: np.ndarray
+) -> np.ndarray:
+    """Poisson mean of each pair.
+
+    theta_i * theta_j is formed first and then scaled by psi, the order of
+    `np.outer(theta, theta) * psi(model)[np.ix_(c, c)]`, so every mean (and
+    with it every draw of a given random stream) is that of the dense form.
+    """
+    return theta[pairs[0]] * theta[pairs[1]] * psi(model).ravel()[blocks]
+
+
+def _draw(
+    model: DcsbmModel,
+    theta: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray],
+    blocks: np.ndarray,
+    rng: np.random.Generator,
+    t: int,
+) -> SnapshotMatrix:
+    """One Poisson draw per pair; only the nonzero draws become edges."""
+    counts = rng.poisson(_pair_means(model, theta, pairs, blocks))
+    hit = np.flatnonzero(counts)
+    return SnapshotMatrix.from_edges(
+        model.n, pairs[0][hit], pairs[1][hit], counts[hit].astype(float), t
+    )
 
 
 def _scaled_sizes(sizes: tuple[int, ...], scale: float | None) -> tuple[int, ...]:
@@ -320,9 +355,15 @@ def generate_sequence(spec: ScenarioSpec, rng: np.random.Generator) -> list[Snap
 
     Degree propensities are redrawn independently at every instant, since
     consecutive snapshots are independent samples from the active model.
+    The vertex-pair list is built once per sequence and each model's pair
+    block index once, not once per instant.
     """
+    pairs = _upper_pairs(spec.n)
+    models = (spec.f0, spec.f1)
+    blocks = [_pair_blocks(model, pairs) for model in models]
     snapshots = []
     for t in range(1, spec.T + 1):
-        model = spec.f1 if spec.change.active(t) else spec.f0
-        snapshots.append(sample_snapshot(model, sample_theta(model, rng), rng, t=t))
+        changed = int(spec.change.active(t))
+        theta = sample_theta(models[changed], rng)
+        snapshots.append(_draw(models[changed], theta, pairs, blocks[changed], rng, t))
     return snapshots

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netchange import FormatError, SnapshotMatrix
+from netchange import FormatError, SnapshotMatrix, __version__
 from netchange.baselines import activity
 from netchange.cli import (
     ingest_sequence,
@@ -143,6 +147,18 @@ class TestConfigFile:
         cfg = write(tmp_path / "run.cfg", "just-a-token\n")
         with pytest.raises(FormatError):
             read_config_file(cfg)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_netchange_runs_without_install(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "netchange", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"netchange {__version__}"
 
 
 class TestSimulateCommand:

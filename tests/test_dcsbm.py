@@ -7,6 +7,7 @@ from netchange import (
     InvalidProbability,
     InvalidShape,
     PowerLawTheta,
+    SnapshotMatrix,
     block_matrix,
     catalog,
     generate_sequence,
@@ -15,7 +16,8 @@ from netchange import (
     sample_theta,
     scenario,
 )
-from netchange.dcsbm import ChangeInterval, ScenarioSpec, sample_power_law
+from netchange import dcsbm
+from netchange.dcsbm import SCENARIO_NAMES, ChangeInterval, ScenarioSpec, sample_power_law
 
 
 def toy_model():
@@ -26,6 +28,26 @@ def toy_model():
         lam=0.7,
         theta_laws=(PowerLawTheta(), PowerLawTheta(), ConstantTheta()),
     )
+
+
+def dense_means(model, theta):
+    """Reference: the n x n Poisson means of the dense sampler."""
+    c = model.memberships
+    return np.outer(theta, theta) * psi(model)[np.ix_(c, c)]
+
+
+def dense_sample_snapshot(model, theta, rng, t=1):
+    """Reference: the sampler that drew the upper triangle of dense means."""
+    iu = np.triu_indices(model.n, k=1)
+    weights = rng.poisson(dense_means(model, theta)[iu]).astype(float)
+    return SnapshotMatrix.from_edges(model.n, iu[0], iu[1], weights, t)
+
+
+def assert_same_edges(snap, reference):
+    assert (snap.n, snap.t) == (reference.n, reference.t)
+    for got, want in zip(snap.edges, reference.edges):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def ccdf_slope(draws, min_tail=1e-3):
@@ -297,3 +319,59 @@ class TestGenerateSequence:
         )
         sigma = np.sqrt(4.0 * means[iu].sum() / draws)
         assert abs(totals.mean() - expected_total) <= 4.0 * sigma
+
+
+CATALOG_NAMES = ("M1", "M2", "M3", "M4", "M5", "M6")
+
+
+class TestPairListDraw:
+    """The pair-list draw reproduces the dense sampler bit for bit."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_means_equal_dense_bit_for_bit(self, name):
+        model = catalog(name, scale=0.1)
+        theta = sample_theta(model, np.random.default_rng(5))
+        pairs = dcsbm._upper_pairs(model.n)
+        means = dcsbm._pair_means(model, theta, pairs, dcsbm._pair_blocks(model, pairs))
+        dense = dense_means(model, theta)[np.triu_indices(model.n, k=1)]
+        assert means.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_edges_equal_dense_sampler(self, name):
+        model = catalog(name, scale=0.1)
+        theta = sample_theta(model, np.random.default_rng(6))
+        for t in (1, 2, 3):
+            snap = sample_snapshot(model, theta, np.random.default_rng(t), t=t)
+            assert_same_edges(snap, dense_sample_snapshot(model, theta, np.random.default_rng(t), t))
+
+    def test_zero_theta_gives_no_edges(self):
+        model = toy_model()
+        snap = sample_snapshot(model, np.zeros(model.n), np.random.default_rng(0))
+        assert snap.edges[0].size == 0
+        assert_same_edges(
+            snap, dense_sample_snapshot(model, np.zeros(model.n), np.random.default_rng(0))
+        )
+
+    @pytest.mark.parametrize("change_type", ["point", "interval"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_sequence_equals_dense_loop(self, name, change_type):
+        spec = scenario(name, change_type=change_type, scale=0.1)
+        snaps = generate_sequence(spec, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        assert len(snaps) == spec.T
+        for t, snap in enumerate(snaps, start=1):
+            model = spec.f1 if spec.change.active(t) else spec.f0
+            assert_same_edges(snap, dense_sample_snapshot(model, sample_theta(model, rng), rng, t))
+
+    def test_pair_list_built_once_per_sequence(self, monkeypatch):
+        calls = []
+        upper_pairs = dcsbm._upper_pairs
+
+        def counted(n):
+            calls.append(n)
+            return upper_pairs(n)
+
+        monkeypatch.setattr(dcsbm, "_upper_pairs", counted)
+        spec = scenario("group-change", T=30, scale=0.1)
+        assert len(generate_sequence(spec, np.random.default_rng(0))) == 30
+        assert calls == [spec.n]
