@@ -38,7 +38,6 @@ from .embedding import (
 )
 from .errors import (
     DegenerateShape,
-    DimensionError,
     EmptyGraph,
     EmptyPartition,
     FormatError,
@@ -78,12 +77,10 @@ from .pipeline import (
 )
 from .procrustes import (
     AlignmentResult,
-    PreShape,
     ScoreVector,
     change_scores,
     gpa_align,
     optimal_rotation,
-    pad_to_dim,
     pre_shape,
     profile_embedding,
 )

@@ -91,6 +91,8 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
                 raise FormatError(f"{path.name}:{lineno}: vertex indices must be >= 0")
             if not np.isfinite(weight):
                 raise FormatError(f"{path.name}:{lineno}: weight must be finite")
+            if weight < 0:
+                raise FormatError(f"{path.name}:{lineno}: weight must be nonnegative: {weight}")
             times.append(t)
             firsts.append(i)
             seconds.append(j)
@@ -340,7 +342,10 @@ def cmd_detect(args, stages: StageTimer) -> int:
 def cmd_evaluate(args, stages: StageTimer) -> int:
     out = _out_dir(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    windows = tuple(int(w) for w in args.windows.split(","))
+    try:
+        windows = tuple(int(w) for w in args.windows.split(","))
+    except ValueError:
+        raise ValueError(f"--windows must be comma-separated integers: {args.windows!r}") from None
     with stages("build-scenario"):
         spec = _scenario_spec(args)
     with stages("experiment"):

@@ -25,10 +25,6 @@ class DegenerateShape(NetchangeError):
     """A configuration collapses after centering (zero Frobenius norm)."""
 
 
-class DimensionError(NetchangeError):
-    """A requested dimension change would truncate columns."""
-
-
 class InvalidShape(NetchangeError):
     """A power-law shape parameter does not define a proper distribution."""
 

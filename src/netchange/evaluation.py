@@ -200,6 +200,8 @@ def run_experiment(
         raise ValueError("need at least one method and one window")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if N < 1:
+        raise ValueError(f"phi sample count N must be >= 1, got {N}")
     t_change = spec.change_instant
     for w in windows:
         if w >= t_change:

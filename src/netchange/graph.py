@@ -60,10 +60,13 @@ class SnapshotMatrix:
         """Snapshot from an undirected edge list, without a dense matrix.
 
         Each vertex pair appears at most once, in either orientation; pairs
-        not listed and zero weights are absent edges.
+        not listed and zero weights are absent edges.  Vertex indices must
+        have an integer dtype (not bool); an empty list is accepted.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if any(a.size and not np.issubdtype(a.dtype, np.integer) for a in (rows, cols)):
+            raise ValueError("vertex indices must be integers")
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
         weights = np.asarray(weights, dtype=float)
         if n < 2:
             raise ValueError("a snapshot needs at least 2 vertices")

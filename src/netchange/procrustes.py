@@ -10,23 +10,17 @@ between the aligned current embedding and the aligned window profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import Embedding
-from .errors import DegenerateShape, DimensionError
+from .errors import DegenerateShape
 
 DEGENERATE_NORM = 1e-14
-DEFAULT_GPA_THRESHOLD = 1e-10
-DEFAULT_GPA_MAX_ITERATIONS = 100
-
-
-@dataclass(frozen=True)
-class PreShape:
-    """A matrix with column means removed and unit Frobenius norm."""
-
-    Xtilde: np.ndarray
+# Read at call time, so tests can patch them.
+GPA_THRESHOLD = 1e-10
+GPA_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -36,10 +30,7 @@ class AlignmentResult:
     Attributes:
         mean: elementwise average of the aligned copies.
         aligned: aligned pre-shapes, one per input matrix.
-        rotations: orthogonal transform applied to each pre-shape on the
-            final pass.
         iterations: number of full alignment passes performed.
-        final_D: squared Frobenius distance between the last two means.
         converged: False only if the iteration cap was reached first.
         objective_history: sum of squared distances to the mean after each
             pass; nonincreasing.
@@ -47,11 +38,9 @@ class AlignmentResult:
 
     mean: np.ndarray
     aligned: list[np.ndarray]
-    rotations: list[np.ndarray]
     iterations: int
-    final_D: float
     converged: bool
-    objective_history: list[float] = field(default_factory=list)
+    objective_history: list[float]
 
 
 @dataclass(frozen=True)
@@ -67,12 +56,8 @@ class ScoreVector:
             raise ValueError("change scores must be finite and nonnegative")
         object.__setattr__(self, "z", z)
 
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
 
-
-def pre_shape(X: np.ndarray) -> PreShape:
+def pre_shape(X: np.ndarray) -> np.ndarray:
     """Remove column means and scale to unit Frobenius norm.
 
     Raises DegenerateShape when every column is constant, since the centered
@@ -83,7 +68,7 @@ def pre_shape(X: np.ndarray) -> PreShape:
     norm = np.linalg.norm(centered)
     if norm < DEGENERATE_NORM:
         raise DegenerateShape("matrix is constant per column; no shape remains")
-    return PreShape(Xtilde=centered / norm)
+    return centered / norm
 
 
 def optimal_rotation(mu: np.ndarray, Xtilde: np.ndarray) -> np.ndarray:
@@ -101,17 +86,14 @@ def optimal_rotation(mu: np.ndarray, Xtilde: np.ndarray) -> np.ndarray:
     return Vt.T @ U.T
 
 
-def gpa_align(
-    matrices: list[np.ndarray],
-    threshold: float = DEFAULT_GPA_THRESHOLD,
-    max_iterations: int = DEFAULT_GPA_MAX_ITERATIONS,
-) -> AlignmentResult:
+def gpa_align(matrices: list[np.ndarray]) -> AlignmentResult:
     """Iteratively align matrices to a common mean shape.
 
     The reference starts as the raw first matrix; every pass rotates each
     pre-shape optimally onto the reference, averages the aligned copies,
     and measures the squared movement D of the mean.  Iteration stops once
-    D drops to `threshold` or the pass cap is hit (flagged, not an error).
+    D drops to GPA_THRESHOLD or the GPA_MAX_ITERATIONS cap is hit (flagged,
+    not an error).
     Pre-shapes do not change across passes, so they are computed once.
     """
     if len(matrices) < 2:
@@ -119,17 +101,15 @@ def gpa_align(
     shapes = {np.asarray(m).shape for m in matrices}
     if len(shapes) != 1:
         raise ValueError(f"matrices must share one shape, got {sorted(shapes)}")
-    tildes = [pre_shape(m).Xtilde for m in matrices]
+    tildes = [pre_shape(m) for m in matrices]
 
     mu = np.asarray(matrices[0], dtype=float)
     aligned = tildes
-    rotations = [np.eye(mu.shape[1])] * len(tildes)
     iterations = 0
     D = np.inf
     history: list[float] = []
-    while D > threshold and iterations < max_iterations:
-        rotations = [optimal_rotation(mu, Xt) for Xt in tildes]
-        aligned = [Xt @ G for Xt, G in zip(tildes, rotations)]
+    while D > GPA_THRESHOLD and iterations < GPA_MAX_ITERATIONS:
+        aligned = [Xt @ optimal_rotation(mu, Xt) for Xt in tildes]
         new_mu = np.mean(aligned, axis=0)
         D = float(np.sum((mu - new_mu) ** 2))
         mu = new_mu
@@ -138,30 +118,19 @@ def gpa_align(
     return AlignmentResult(
         mean=mu,
         aligned=aligned,
-        rotations=rotations,
         iterations=iterations,
-        final_D=D,
-        converged=D <= threshold,
+        converged=D <= GPA_THRESHOLD,
         objective_history=history,
     )
 
 
-def pad_to_dim(X: np.ndarray, d_max: int) -> np.ndarray:
-    """Append zero columns up to d_max; truncation is deliberately unsupported."""
-    X = np.asarray(X, dtype=float)
+def _padded(X: np.ndarray, d_max: int) -> np.ndarray:
+    """X with zero columns appended up to d_max; X itself when it has d_max."""
     d = X.shape[1]
-    if d > d_max:
-        raise DimensionError(f"cannot reduce {d} columns to {d_max}; padding only")
-    if d == d_max:
-        return X
-    return np.hstack([X, np.zeros((X.shape[0], d_max - d))])
+    return X if d == d_max else np.hstack([X, np.zeros((X.shape[0], d_max - d))])
 
 
-def profile_embedding(
-    window: list[Embedding],
-    threshold: float = DEFAULT_GPA_THRESHOLD,
-    max_iterations: int = DEFAULT_GPA_MAX_ITERATIONS,
-) -> Embedding:
+def profile_embedding(window: list[Embedding]) -> Embedding:
     """Mean shape of the embeddings in a window.
 
     Members are zero-padded to the window's largest dimension before
@@ -172,19 +141,13 @@ def profile_embedding(
         raise ValueError("window must contain at least one embedding")
     t = window[-1].t
     if len(window) == 1:
-        return Embedding(X=pre_shape(window[0].X).Xtilde, t=t)
+        return Embedding(X=pre_shape(window[0].X), t=t)
     d_max = max(e.d for e in window)
-    padded = [pad_to_dim(e.X, d_max) for e in window]
-    result = gpa_align(padded, threshold=threshold, max_iterations=max_iterations)
+    result = gpa_align([_padded(e.X, d_max) for e in window])
     return Embedding(X=result.mean, t=t)
 
 
-def change_scores(
-    current: Embedding,
-    profile: Embedding,
-    threshold: float = DEFAULT_GPA_THRESHOLD,
-    max_iterations: int = DEFAULT_GPA_MAX_ITERATIONS,
-) -> ScoreVector:
+def change_scores(current: Embedding, profile: Embedding) -> ScoreVector:
     """Per-vertex dissimilarity between an embedding and its window profile.
 
     Both matrices are padded to a common dimension and aligned pairwise;
@@ -194,8 +157,7 @@ def change_scores(
     if current.n != profile.n:
         raise ValueError(f"row mismatch: {current.n} vs {profile.n}")
     d_max = max(current.d, profile.d)
-    pair = [pad_to_dim(current.X, d_max), pad_to_dim(profile.X, d_max)]
-    result = gpa_align(pair, threshold=threshold, max_iterations=max_iterations)
+    result = gpa_align([_padded(current.X, d_max), _padded(profile.X, d_max)])
     current_hat, profile_hat = result.aligned
     gaps = np.sum((current_hat - profile_hat) ** 2, axis=1)
     mean_norm = np.linalg.norm(result.mean)

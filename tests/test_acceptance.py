@@ -98,7 +98,7 @@ def test_criterion_2_procrustes_invariance_suite():
         for _ in range(200):
             n = int(rng.integers(8, 16))
             d = int(rng.integers(2, 4))
-            profile = Embedding(X=pre_shape(rng.standard_normal((n, d))).Xtilde, t=1)
+            profile = Embedding(X=pre_shape(rng.standard_normal((n, d))), t=1)
             current = Embedding(X=rng.standard_normal((n, d)), t=2)
             base = change_scores(current, profile).z
 
@@ -128,8 +128,8 @@ def test_criterion_3_gpa_correctness():
         beats = True
         for _ in range(50):
             n, d = int(rng.integers(5, 9)), int(rng.integers(2, 4))
-            mu = pre_shape(rng.standard_normal((n, d))).Xtilde
-            tilde = pre_shape(rng.standard_normal((n, d))).Xtilde
+            mu = pre_shape(rng.standard_normal((n, d)))
+            tilde = pre_shape(rng.standard_normal((n, d)))
             best = np.linalg.norm(tilde @ optimal_rotation(mu, tilde) - mu)
             Q = haar_orthogonal(d, rng, count=10_000)
             distances = np.linalg.norm(
@@ -147,7 +147,7 @@ def test_criterion_3_gpa_correctness():
                 monotone = False
                 break
 
-        base = pre_shape(rng.standard_normal((9, 3))).Xtilde
+        base = pre_shape(rng.standard_normal((9, 3)))
         copies = [base] + [base @ Q for Q in haar_orthogonal(3, rng, count=4)]
         aligned = gpa_align(copies).aligned
         pairwise = max(

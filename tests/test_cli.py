@@ -51,6 +51,11 @@ class TestIngest:
         with pytest.raises(FormatError):
             ingest_sequence(path)
 
+    def test_negative_weight_names_line(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "1 0 1 2\n1 1 2 -3\n")
+        with pytest.raises(FormatError, match=r"e.tsv:2: weight must be nonnegative"):
+            ingest_sequence(path)
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path / "e.tsv", "# header\n\n1 0 1 4 # trailing\n")
         snaps = ingest_sequence(path)
@@ -320,3 +325,12 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert "windows must be >= 1" in capsys.readouterr().err
+
+    def test_malformed_windows_names_flag(self, tmp_path, capsys):
+        code = main(
+            ["evaluate", "--scenario", "merge", "--scale", "0.1", "--methods", "act",
+             "--windows", "1,,5", "--runs", "1", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--windows" in err and "'1,,5'" in err

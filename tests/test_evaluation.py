@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import netchange.baselines
+import netchange.evaluation
 from netchange import (
     EmptyPartition,
     UndefinedTest,
@@ -167,6 +168,15 @@ class TestRunExperiment:
     def test_unknown_method_named(self):
         with pytest.raises(ValueError, match="'pca'"):
             run_experiment(tiny_spec(), methods=("pca",), windows=(2,), runs=1, N=100)
+
+    @pytest.mark.parametrize("N", [0, -5])
+    def test_phi_samples_checked_before_first_run(self, monkeypatch, N):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a run was drawn")
+
+        monkeypatch.setattr(netchange.evaluation, "generate_sequence", no_draw)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            run_experiment(tiny_spec(), methods=("act",), windows=(2,), runs=1, N=N)
 
     @pytest.mark.parametrize("runs", [0, -2])
     def test_runs_must_be_positive(self, runs):

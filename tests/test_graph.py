@@ -113,6 +113,16 @@ class TestSnapshotMatrix:
         with pytest.raises(ValueError, match="out of range"):
             SnapshotMatrix.from_edges(7, [i], [j], [1.0])
 
+    @pytest.mark.parametrize("i,j", [(0.7, 1), (True, 2), (0, 2.0)])
+    def test_from_edges_rejects_non_integer_index(self, i, j):
+        with pytest.raises(ValueError, match="integers"):
+            SnapshotMatrix.from_edges(3, [i], [j], [1.0])
+
+    def test_from_edges_accepts_empty_lists(self):
+        snap = SnapshotMatrix.from_edges(3, [], [], [], t=4)
+        assert (snap.n, snap.t) == (3, 4)
+        assert all(a.size == 0 for a in snap.edges)
+
     @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
     def test_from_edges_rejects_bad_weight(self, weight):
         with pytest.raises(InvalidWeight):

@@ -111,7 +111,7 @@ class TestRunCdp:
 
         e1 = embed_snapshot(snapshots[0], config)
         e2 = embed_snapshot(snapshots[1], config)
-        profile = Embedding(X=pre_shape(e1.X).Xtilde, t=1)
+        profile = Embedding(X=pre_shape(e1.X), t=1)
         expected = change_scores(e2, profile)
         assert np.array_equal(series.scores[2].z, expected.z)
 
