@@ -32,7 +32,6 @@ from .dcsbm import (
 from .embedding import (
     Embedding,
     embed,
-    estimate_rank_d,
     random_sign_flip,
     spectral_norm,
 )
@@ -51,11 +50,8 @@ from .errors import (
 )
 from .evaluation import (
     ExperimentResult,
-    PerformanceSeries,
     estimate_phi,
     log_odds,
-    log_odds_ratio,
-    run_cdp,
     run_experiment,
     score_sequence,
     sign_test,

@@ -41,7 +41,6 @@ from .errors import FormatError, NetchangeError
 from .evaluation import (
     DEFAULT_PHI_SAMPLES,
     METHODS,
-    performance_rows,
     run_experiment,
     score_sequence,
 )
@@ -303,16 +302,11 @@ class _ScoreRows:
 
 def cmd_detect(args, stages: StageTimer) -> int:
     out = _out_dir(args)
-    config = CdpConfig(
-        window=args.window,
-        epsilon_rank=args.epsilon,
-        zscore_threshold=args.threshold,
-        seed=args.seed,
-    )
+    config = CdpConfig(epsilon_rank=args.epsilon, zscore_threshold=args.threshold, seed=args.seed)
     with stages("ingest"):
         snapshots = ingest_sequence(args.input)
     with stages("score"):
-        method, w = args.method, config.window
+        method, w = args.method, args.window
         series = score_sequence(snapshots, config, (method,), (w,))[(method, w)]
     with stages("write"):
         scores_path = out / "scores.csv"
@@ -360,7 +354,7 @@ def cmd_evaluate(args, stages: StageTimer) -> int:
         )
     with stages("write"):
         tables = (
-            ("performance.csv", performance_rows(result),
+            ("performance.csv", result.performance,
              ["scenario", "method", "window", "run", "t", "phi", "eta", "eta_bar"]),
             ("sign_tests.csv", result.sign_tests,
              ["scenario", "window", "comparison", "alternative", "p_value"]),
@@ -370,8 +364,6 @@ def cmd_evaluate(args, stages: StageTimer) -> int:
         )
         outputs = []
         for name, rows, header in tables:
-            # sign-test and proportion rows carry no scenario of their own
-            rows = [{"scenario": result.scenario, **r} for r in rows]
             write_csv(out / name, header, [tuple(r[h] for h in header) for r in rows])
             outputs.append(str(out / name))
     write_manifest(

@@ -145,19 +145,6 @@ def _rank_from_spectrum(
     return rank
 
 
-def estimate_rank_d(
-    M: np.ndarray,
-    epsilon: float = DEFAULT_RANK_EPSILON,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Choose the embedding dimension for a symmetric representation matrix.
-
-    Returns the number of singular vectors to keep counting from the second
-    principal one, as `embed` chooses it; at least 1.
-    """
-    return embed(M, epsilon, rng).d
-
-
 def embed(
     M: np.ndarray,
     epsilon: float = DEFAULT_RANK_EPSILON,
@@ -167,8 +154,8 @@ def embed(
     """Embed a symmetric representation matrix into d dimensions.
 
     The embedding keeps columns 2..d+1 of the original spectrum (the leading
-    vector is a near-constant direction carrying no contrast), with d selected
-    by `estimate_rank_d`.
+    vector is a near-constant direction carrying no contrast), with d >= 1
+    chosen by the residual sign-flip search of `_rank_from_spectrum`.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")

@@ -15,7 +15,7 @@ transitions.  Runs are repeated with independently derived seeds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ def score_sequence(
     methods: tuple[str, ...],
     windows: tuple[int, ...],
 ) -> dict[tuple[str, int], ScoreSeries]:
-    """One series per (method, w); `windows` is used, `config.window` is not.
+    """One series per (method, w), for every method and window asked for.
 
     cdp scores the spectral embedding; act and actm share one activity vector
     per snapshot.  Built per call, so a module-level rebinding of any of
@@ -60,11 +60,6 @@ def score_sequence(
         if wanted := {m: f for m, f in scorers.items() if m in methods}:
             out.update(sweep(snapshots, extract, wanted, windows, config.zscore_threshold))
     return out
-
-
-def run_cdp(snapshots: list[SnapshotMatrix], config: CdpConfig) -> ScoreSeries:
-    """Score every instant of a snapshot sequence against its window profile."""
-    return score_sequence(snapshots, config, ("cdp",), (config.window,))[("cdp", config.window)]
 
 
 def estimate_phi(
@@ -96,10 +91,6 @@ def log_odds(phi: float) -> float:
     if not 0.0 < phi < 1.0:
         raise ValueError(f"phi must lie strictly inside (0, 1), got {phi}")
     return math.log(phi / (1.0 - phi))
-
-
-def log_odds_ratio(phi_t: float, phi_prev: float) -> float:
-    return log_odds(phi_t) - log_odds(phi_prev)
 
 
 def _binom_tail_upper(n: int, k: int) -> float:
@@ -135,34 +126,17 @@ def sign_test(a: np.ndarray, b: np.ndarray, alternative: str = "greater") -> flo
 
 
 @dataclass
-class PerformanceSeries:
-    """Per-run, per-instant separation measures for one method and window.
-
-    eta is the log odds of phi; eta_bar differences eta between consecutive
-    scored instants (undefined at the first scored instant).
-    """
-
-    phi: dict[tuple[int, int], float] = field(default_factory=dict)
-    eta: dict[tuple[int, int], float] = field(default_factory=dict)
-    eta_bar: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def eta_at(self, t: int) -> np.ndarray:
-        """eta across runs at one instant, ordered by run index."""
-        runs = sorted(run for run, tt in self.eta if tt == t)
-        return np.array([self.eta[(run, t)] for run in runs])
-
-    def eta_bar_at(self, t: int) -> np.ndarray:
-        runs = sorted(run for run, tt in self.eta_bar if tt == t)
-        return np.array([self.eta_bar[(run, t)] for run in runs])
-
-
-@dataclass
 class ExperimentResult:
-    """Everything produced by one simulation experiment."""
+    """Everything produced by one simulation experiment, as the rows `evaluate` writes.
+
+    `performance` has one row per (method, window, run, scored instant) in
+    that order, methods in table order: phi, its log odds eta, and eta_bar,
+    the change in eta since the previous scored instant (None at the first).
+    """
 
     scenario: str
     runs: int
-    series: dict[tuple[str, int], PerformanceSeries]
+    performance: list[dict]
     sign_tests: list[dict]
     proportions: list[dict]
     timings: list[dict]
@@ -209,7 +183,9 @@ def run_experiment(
     changed = spec.changed_vertices
     unchanged = spec.unchanged_vertices
 
-    series = {(m, w): PerformanceSeries() for m in methods for w in windows}
+    # one row list per (method, w), in output order, joined at the end
+    blocks: dict[tuple[str, int], list[dict]] = {(m, w): [] for m in methods for w in windows}
+    eta_tstar: dict[tuple[str, int], list[float]] = {key: [] for key in blocks}
     seconds: dict[tuple[str, str], list[float]] = {
         (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
     }
@@ -223,16 +199,25 @@ def run_experiment(
                 seconds[("embedding", method)].extend(result.embed_seconds.values())
             seconds[("profile_and_scores", method)].extend(result.score_seconds.values())
             rng = _phi_rng(rseed, method, w)
-            perf = series[(method, w)]
             prev_eta = None
             for t in result.scored_instants():
                 z = result.scores[t].z
                 phi = estimate_phi(z[changed], z[unchanged], N, rng)
                 eta = log_odds(phi)
-                perf.phi[(run, t)] = phi
-                perf.eta[(run, t)] = eta
-                if prev_eta is not None:
-                    perf.eta_bar[(run, t)] = eta - prev_eta
+                blocks[(method, w)].append(
+                    {
+                        "scenario": spec.name,
+                        "method": method,
+                        "window": w,
+                        "run": run,
+                        "t": t,
+                        "phi": phi,
+                        "eta": eta,
+                        "eta_bar": None if prev_eta is None else eta - prev_eta,
+                    }
+                )
+                if t == t_change:
+                    eta_tstar[(method, w)].append(eta)
                 prev_eta = eta
 
     sign_rows: list[dict] = []
@@ -240,8 +225,8 @@ def run_experiment(
     pairs = [(a, b) for i, a in enumerate(methods) for b in methods[i + 1 :]]
     for w in windows:
         for a, b in pairs:
-            eta_a = series[(a, w)].eta_at(t_change)
-            eta_b = series[(b, w)].eta_at(t_change)
+            eta_a = np.array(eta_tstar[(a, w)])
+            eta_b = np.array(eta_tstar[(b, w)])
             for alternative in ("greater", "less", "two_sided"):
                 try:
                     p = sign_test(eta_a, eta_b, alternative)
@@ -249,6 +234,7 @@ def run_experiment(
                     p = float("nan")
                 sign_rows.append(
                     {
+                        "scenario": spec.name,
                         "window": w,
                         "comparison": f"{a}_vs_{b}",
                         "alternative": alternative,
@@ -263,6 +249,7 @@ def run_experiment(
             ):
                 prop_rows.append(
                     {
+                        "scenario": spec.name,
                         "window": w,
                         "comparison": f"{a}_vs_{b}",
                         "relation": relation,
@@ -278,30 +265,9 @@ def run_experiment(
     return ExperimentResult(
         scenario=spec.name,
         runs=runs,
-        series=series,
+        performance=[row for rows in blocks.values() for row in rows],
         sign_tests=sign_rows,
         proportions=prop_rows,
         timings=timing_rows,
     )
 
-
-def performance_rows(result: ExperimentResult) -> list[dict]:
-    """Flatten an experiment into plot-ready rows, sorted for stable output."""
-    rows = []
-    for (method, window), perf in sorted(
-        result.series.items(), key=lambda kv: (METHODS.index(kv[0][0]), kv[0][1])
-    ):
-        for (run, t), phi in sorted(perf.phi.items()):
-            rows.append(
-                {
-                    "scenario": result.scenario,
-                    "method": method,
-                    "window": window,
-                    "run": run,
-                    "t": t,
-                    "phi": phi,
-                    "eta": perf.eta[(run, t)],
-                    "eta_bar": perf.eta_bar.get((run, t)),
-                }
-            )
-    return rows

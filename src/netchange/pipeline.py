@@ -32,24 +32,20 @@ DEGENERATE_STD = 1e-14
 
 @dataclass(frozen=True)
 class CdpConfig:
-    """Tunables for a detection run.
+    """Tunables for a detection run; the profile windows are given to `sweep`.
 
     Attributes:
-        window: number of past instants profiled (w >= 1).
         epsilon_rank: convergence threshold of the rank-selection residual
             test.
         zscore_threshold: finite detection cutoff on normalized scores (strict >).
         seed: base seed for the per-snapshot randomized rank selection.
     """
 
-    window: int = DEFAULT_WINDOW
     epsilon_rank: float = DEFAULT_RANK_EPSILON
     zscore_threshold: float = DEFAULT_ZSCORE_THRESHOLD
     seed: int = 0
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         if not self.epsilon_rank > 0:
             raise ValueError("epsilon_rank must be positive")
         if not np.isfinite(self.zscore_threshold):

@@ -21,8 +21,8 @@ from netchange import (
     act_scores,
     actm_scores,
     change_scores,
+    embed,
     estimate_phi,
-    estimate_rank_d,
     gpa_align,
     log_odds,
     log_transform,
@@ -36,6 +36,7 @@ from netchange import (
     sample_snapshot,
     sample_theta,
     scenario,
+    score_sequence,
     sign_test,
 )
 from netchange.cli import ingest_sequence, main
@@ -172,13 +173,13 @@ def test_criterion_4_rank_selection():
             W[s : s + b, s : s + b] = 1.0
         M = representation_matrix(SnapshotMatrix(W=W)).M
         hits = sum(
-            estimate_rank_d(M, 0.005, np.random.default_rng(seed)) == 2
+            embed(M, 0.005, np.random.default_rng(seed)).d == 2
             for seed in range(100)
         )
-        zero_residual = estimate_rank_d(np.array([[0.1, 0.9], [0.9, 0.1]])) == 1
+        zero_residual = embed(np.array([[0.1, 0.9], [0.9, 0.1]])).d == 1
         rng = np.random.default_rng(7)
         A = rng.standard_normal((40, 40))
-        huge_eps = estimate_rank_d((A + A.T) / 2, epsilon=1e9) == 1
+        huge_eps = embed((A + A.T) / 2, epsilon=1e9).d == 1
     ok = hits >= 95 and zero_residual and huge_eps and clock.seconds < 120.0
     assert report(
         4, ok, f"3-block d=2 in {hits}/100 runs, edge cases d=1, {clock.seconds:.1f}s"
@@ -235,9 +236,16 @@ def scaled_experiment():
     return result, clock.seconds
 
 
+def w5_column(result, method, t, key="eta"):
+    """`key` of one method at instant t and w=5, one value per run in run order."""
+    return np.array(
+        [r[key] for r in result.performance if (r["method"], r["window"], r["t"]) == (method, 5, t)]
+    )
+
+
 def test_criterion_6a_scaled_median_eta_positive(scaled_experiment):
     result, seconds = scaled_experiment
-    median = float(np.median(result.series[("cdp", 5)].eta_at(21)))
+    median = float(np.median(w5_column(result, "cdp", 21)))
     ok = median > 0.0
     report(
         "6a",
@@ -251,8 +259,8 @@ def test_criterion_6a_scaled_median_eta_positive(scaled_experiment):
 
 def test_criterion_6b_scaled_cdp_beats_act(scaled_experiment):
     result, _ = scaled_experiment
-    eta_cdp = result.series[("cdp", 5)].eta_at(21)
-    eta_act = result.series[("act", 5)].eta_at(21)
+    eta_cdp = w5_column(result, "cdp", 21)
+    eta_act = w5_column(result, "act", 21)
     wins = int(np.sum(eta_cdp > eta_act))
     p = sign_test(eta_cdp, eta_act, "greater")
     ok = wins >= 18 and p < 1e-3
@@ -261,9 +269,8 @@ def test_criterion_6b_scaled_cdp_beats_act(scaled_experiment):
 
 def test_criterion_6c_scaled_jump_at_change(scaled_experiment):
     result, _ = scaled_experiment
-    series = result.series[("cdp", 5)]
-    jump = float(np.median(series.eta_bar_at(21)))
-    before = float(np.median(series.eta_bar_at(20)))
+    jump = float(np.median(w5_column(result, "cdp", 21, "eta_bar")))
+    before = float(np.median(w5_column(result, "cdp", 20, "eta_bar")))
     ok = jump > before
     report(
         "6c",
@@ -383,9 +390,8 @@ def test_criterion_10_enron_smoke(tmp_path):
         path = os.environ["ENRON_EDGELIST"]
         snapshots = ingest_sequence(path, n=2359)
         assert len(snapshots) == 28
-        from netchange import run_cdp
-
-        series = run_cdp(snapshots, CdpConfig(window=1, zscore_threshold=5.0))
+        config = CdpConfig(zscore_threshold=5.0)
+        series = score_sequence(snapshots, config, ("cdp",), (1,))[("cdp", 1)]
         n = snapshots[0].n
         fractions = {
             t: len(series.detections[t]) / n for t in series.scored_instants()

@@ -251,6 +251,16 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         assert "stage 'ingest'" in err
 
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_nonpositive_window_fails(self, tmp_path, capsys, window):
+        edges = write(tmp_path / "e.tsv", "1 0 1 1\n1 1 2 1\n2 0 1 2\n2 1 2 1\n")
+        code = main(
+            ["detect", "--input", str(edges), "--window", window, "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage 'score'" in err and "must be >= 1" in err
+
     def test_empty_snapshot_failure_names_instant(self, tmp_path, capsys):
         edges = write(
             tmp_path / "e.tsv",

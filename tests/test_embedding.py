@@ -6,7 +6,6 @@ from netchange import (
     NotSymmetric,
     SnapshotMatrix,
     embed,
-    estimate_rank_d,
     random_sign_flip,
     representation_matrix,
     spectral_norm,
@@ -142,17 +141,17 @@ class TestRandomSignFlip:
 class TestEstimateRank:
     def test_zero_residual_after_deflation(self):
         # rank-2 matrix: deflation leaves rank 1, whose rank-1 residual is zero
-        d = estimate_rank_d(np.array([[0.1, 0.9], [0.9, 0.1]]))
+        d = embed(np.array([[0.1, 0.9], [0.9, 0.1]])).d
         assert d == 1
 
     def test_huge_epsilon_stops_immediately(self):
         rng = np.random.default_rng(17)
         M = random_symmetric(20, rng)
-        assert estimate_rank_d(M, epsilon=1e9, rng=np.random.default_rng(0)) == 1
+        assert embed(M, epsilon=1e9, rng=np.random.default_rng(0)).d == 1
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
-            estimate_rank_d(np.eye(3), epsilon=0.0)
+            embed(np.eye(3), epsilon=0.0)
 
     def test_nan_epsilon_rejected(self):
         # NaN fails every comparison, so it would run the search to full rank
@@ -176,7 +175,7 @@ class TestEstimateRank:
         monkeypatch.setattr(netchange.embedding, "spectral_norm", norm)
         monkeypatch.setattr(netchange.embedding, "random_sign_flip", flip)
         M = random_symmetric(30, np.random.default_rng(6))
-        estimate_rank_d(M, epsilon=1e-4, rng=np.random.default_rng(0))
+        embed(M, epsilon=1e-4, rng=np.random.default_rng(0))
         assert calls["flip"] > 1
         assert calls["norm"] == calls["flip"]
 
@@ -188,12 +187,12 @@ class TestEstimateRank:
         Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((20, 20)))
         M = (Q * evals) @ Q.T
         M = (M + M.T) / 2.0
-        assert estimate_rank_d(M, epsilon=0.5, rng=np.random.default_rng(0)) == 2
+        assert embed(M, epsilon=0.5, rng=np.random.default_rng(0)).d == 2
 
     def test_three_block_matrix_selects_two(self):
         M = three_block_matrix()
         hits = sum(
-            estimate_rank_d(M, 0.005, np.random.default_rng(seed)) == 2
+            embed(M, 0.005, np.random.default_rng(seed)).d == 2
             for seed in range(20)
         )
         assert hits >= 19
@@ -201,7 +200,7 @@ class TestEstimateRank:
     def test_rank_one_matrix_returns_one(self):
         # deflated matrix is numerically zero
         v = np.ones(6) / np.sqrt(6)
-        assert estimate_rank_d(np.outer(v, v)) == 1
+        assert embed(np.outer(v, v)).d == 1
 
 
 class TestEmbed:

@@ -11,13 +11,12 @@ from netchange import (
     UndefinedTest,
     estimate_phi,
     log_odds,
-    log_odds_ratio,
     run_experiment,
     scenario,
     sign_test,
 )
 from netchange.dcsbm import ChangeInterval, ScenarioSpec, catalog
-from netchange.evaluation import performance_rows, run_seed
+from netchange.evaluation import METHODS, run_seed
 
 
 class TestEstimatePhi:
@@ -65,11 +64,6 @@ class TestLogOdds:
             log_odds(0.0)
         with pytest.raises(ValueError):
             log_odds(1.0)
-
-    def test_ratio(self):
-        assert log_odds_ratio(0.9, 0.5) == pytest.approx(math.log(9.0), abs=1e-12)
-        assert log_odds_ratio(0.5, 0.9) == pytest.approx(-math.log(9.0), abs=1e-12)
-        assert log_odds_ratio(0.7, 0.7) == 0.0
 
 
 def enumerated_sign_test(signs, alternative):
@@ -137,14 +131,15 @@ class TestRunExperiment:
         kwargs = dict(methods=("cdp", "act"), windows=(2,), runs=3, seed=5, N=2000)
         first = run_experiment(spec, **kwargs)
         second = run_experiment(spec, **kwargs)
-        cdp = first.series[("cdp", 2)]
-        assert set(cdp.phi) == {(r, t) for r in range(3) for t in range(3, 9)}
-        assert first.series[("cdp", 2)].phi == second.series[("cdp", 2)].phi
-        for (run, t), phi in cdp.phi.items():
-            assert 0.0 < phi < 1.0
-            assert cdp.eta[(run, t)] == pytest.approx(math.log(phi / (1 - phi)), abs=1e-12)
+        assert first.performance == second.performance
+        cdp = [r for r in first.performance if r["method"] == "cdp"]
+        assert [(r["run"], r["t"]) for r in cdp] == [(r, t) for r in range(3) for t in range(3, 9)]
+        for r in cdp:
+            assert 0.0 < r["phi"] < 1.0
+            assert r["eta"] == pytest.approx(math.log(r["phi"] / (1 - r["phi"])), abs=1e-12)
         # eta_bar defined from the second scored instant onwards
-        assert set(cdp.eta_bar) == {(r, t) for r in range(3) for t in range(4, 9)}
+        defined = {(r["run"], r["t"]) for r in cdp if r["eta_bar"] is not None}
+        assert defined == {(r, t) for r in range(3) for t in range(4, 9)}
 
     def test_tables_cover_comparisons(self):
         spec = tiny_spec()
@@ -185,38 +180,46 @@ class TestRunExperiment:
 
     def test_performance_rows_sorted_and_complete(self):
         spec = tiny_spec()
-        result = run_experiment(spec, methods=("act",), windows=(2,), runs=2, seed=3, N=500)
-        rows = performance_rows(result)
-        assert len(rows) == 2 * 6
-        keys = [(r["run"], r["t"]) for r in rows]
-        assert keys == sorted(keys)
-        assert rows[0]["eta_bar"] is None
+        result = run_experiment(
+            spec, methods=("actm", "cdp"), windows=(2, 1), runs=2, seed=3, N=500
+        )
+        rows = result.performance
+        keys = [(METHODS.index(r["method"]), r["window"], r["run"], r["t"]) for r in rows]
+        # methods in table order, then ascending window, run and instant
+        assert keys == [
+            (METHODS.index(m), w, run, t)
+            for m in ("cdp", "actm")
+            for w in (1, 2)
+            for run in range(2)
+            for t in range(w + 1, 9)
+        ]
+        assert all((r["eta_bar"] is None) == (r["t"] == r["window"] + 1) for r in rows)
+        for row in rows + result.sign_tests + result.proportions:
+            assert row["scenario"] == spec.name
 
     def test_null_scenario_has_no_systematic_jump(self):
         # same model on both sides of the nominal change instant: the jump
         # statistic at t* should be small relative to its spread across runs
         spec = tiny_spec(null=True)
         result = run_experiment(spec, methods=("cdp",), windows=(2,), runs=12, seed=11, N=20_000)
-        series = result.series[("cdp", 2)]
-        bar = series.eta_bar_at(6)
+        bar = [r["eta_bar"] for r in result.performance if r["t"] == 6]
         iqr = np.subtract(*np.percentile(bar, [75, 25]))
         assert abs(np.median(bar)) < max(abs(iqr), 0.2)
 
     def test_single_run_is_degenerate_but_valid(self):
         spec = tiny_spec()
         result = run_experiment(spec, methods=("cdp", "act"), windows=(2,), runs=1, seed=2, N=500)
-        assert {run for run, _ in result.series[("cdp", 2)].eta} == {0}
+        assert {r["run"] for r in result.performance} == {0}
         for row in result.proportions:
             assert row["proportion"] in (0.0, 1.0)
-        rows = performance_rows(result)
-        assert all(r["run"] == 0 for r in rows)
 
     def test_multiple_windows_give_one_block_each(self):
         spec = tiny_spec()
         result = run_experiment(spec, methods=("act",), windows=(1, 2, 3), runs=1, seed=4, N=500)
-        assert set(result.series) == {("act", 1), ("act", 2), ("act", 3)}
-        for (_, w), perf in result.series.items():
-            assert {t for _, t in perf.phi} == set(range(w + 1, 9))
+        instants = {}
+        for r in result.performance:
+            instants.setdefault((r["method"], r["window"]), set()).add(r["t"])
+        assert instants == {("act", w): set(range(w + 1, 9)) for w in (1, 2, 3)}
 
     def test_act_and_actm_share_one_activity_per_snapshot(self, monkeypatch):
         original = netchange.baselines.activity

@@ -13,13 +13,17 @@ from netchange import (
     generate_sequence,
     normalize_and_detect,
     pre_shape,
-    run_cdp,
     scenario,
     score_sequence,
     sweep,
 )
 from netchange.embedding import Embedding
 from netchange.pipeline import embed_snapshot
+
+
+def cdp_series(snapshots, w, **config):
+    """The cdp series of one window, scored through `score_sequence`."""
+    return score_sequence(snapshots, CdpConfig(**config), ("cdp",), (w,))[("cdp", w)]
 
 
 def fixed_snapshot(n, seed, t=1):
@@ -97,16 +101,16 @@ class TestRunCdp:
         # block matrix pins d, so every score must vanish
         base = block_snapshot(1)
         snapshots = [SnapshotMatrix(W=base.W, t=t) for t in range(1, 9)]
-        series = run_cdp(snapshots, CdpConfig(window=5))
+        series = cdp_series(snapshots, 5)
         assert series.scored_instants() == [6, 7, 8]
         for t in (6, 7, 8):
             assert series.scores[t].z.max() < 1e-8
             assert series.dims[t] >= 1
 
     def test_w1_pair_matches_direct_scoring(self):
-        config = CdpConfig(window=1, seed=9)
+        config = CdpConfig(seed=9)
         snapshots = [fixed_snapshot(15, seed=4, t=1), fixed_snapshot(15, seed=5, t=2)]
-        series = run_cdp(snapshots, config)
+        series = score_sequence(snapshots, config, ("cdp",), (1,))[("cdp", 1)]
         assert series.scored_instants() == [2]
 
         e1 = embed_snapshot(snapshots[0], config)
@@ -125,7 +129,7 @@ class TestRunCdp:
     def test_group_change_separates_changed_vertices(self):
         spec = scenario("group-change", scale=1 / 3)
         snapshots = generate_sequence(spec, np.random.default_rng(99))
-        series = run_cdp(snapshots, CdpConfig(window=5, seed=99))
+        series = cdp_series(snapshots, 5, seed=99)
         z = series.scores[21].z
         changed = z[spec.changed_vertices].mean()
         unchanged = z[spec.unchanged_vertices].mean()
@@ -134,9 +138,8 @@ class TestRunCdp:
     def test_bit_identical_reruns(self):
         spec = scenario("split", scale=0.1, T=8, t_star=7)
         snapshots = generate_sequence(spec, np.random.default_rng(5))
-        config = CdpConfig(window=3, seed=11)
-        a = run_cdp(snapshots, config)
-        b = run_cdp(snapshots, config)
+        a = cdp_series(snapshots, 3, seed=11)
+        b = cdp_series(snapshots, 3, seed=11)
         assert a.scored_instants() == b.scored_instants()
         for t in a.scored_instants():
             assert np.array_equal(a.scores[t].z, b.scores[t].z)
@@ -151,9 +154,8 @@ class TestRunCdp:
         snapshots = [block_snapshot(t) for t in range(1, 7)]
         perm = np.random.default_rng(1).permutation(30)
         permuted = [SnapshotMatrix(W=s.W[np.ix_(perm, perm)], t=s.t) for s in snapshots]
-        config = CdpConfig(window=2, seed=3)
-        direct = run_cdp(snapshots, config)
-        relabeled = run_cdp(permuted, config)
+        direct = cdp_series(snapshots, 2, seed=3)
+        relabeled = cdp_series(permuted, 2, seed=3)
         assert direct.dims == relabeled.dims
         for t in direct.scored_instants():
             assert direct.scores[t].z.max() > 0
@@ -162,23 +164,23 @@ class TestRunCdp:
     def test_needs_more_snapshots_than_window(self):
         snapshots = [fixed_snapshot(10, seed=i, t=i + 1) for i in range(3)]
         with pytest.raises(ValueError):
-            run_cdp(snapshots, CdpConfig(window=3))
+            cdp_series(snapshots, 3)
 
     def test_missing_instant_rejected(self):
         # t=4 must not be profiled against {1, 2} as if t=3 existed
         snapshots = [fixed_snapshot(10, seed=t, t=t) for t in (1, 2, 4)]
         with pytest.raises(ValueError, match="t=3"):
-            run_cdp(snapshots, CdpConfig(window=1))
+            cdp_series(snapshots, 1)
 
     def test_empty_snapshot_aborts_with_time_index(self):
         snapshots = [fixed_snapshot(10, seed=i, t=i + 1) for i in range(4)]
         snapshots[2] = SnapshotMatrix(W=np.zeros((10, 10)), t=3)
         with pytest.raises(EmptyGraph, match="t=3"):
-            run_cdp(snapshots, CdpConfig(window=2))
+            cdp_series(snapshots, 2)
 
     def test_timings_recorded(self):
         snapshots = [fixed_snapshot(12, seed=i, t=i + 1) for i in range(4)]
-        series = run_cdp(snapshots, CdpConfig(window=2))
+        series = cdp_series(snapshots, 2)
         assert sorted(series.embed_seconds) == [1, 2, 3, 4]
         assert sorted(series.score_seconds) == [3, 4]
         assert all(v >= 0 for v in series.embed_seconds.values())
@@ -203,7 +205,7 @@ class TestSweep:
         )
         assert set(swept) == {("cdp", w) for w in self.WINDOWS}
         for w in self.WINDOWS:
-            single = run_cdp(snapshots, CdpConfig(window=w, seed=4))
+            single = cdp_series(snapshots, w, seed=4)
             assert single.scored_instants() == list(range(w + 1, 9))
             self.assert_same_series(swept[("cdp", w)], single)
 
@@ -217,5 +219,5 @@ class TestSweep:
         snapshots = [fixed_snapshot(15, seed=50 + t, t=t) for t in range(1, 9)]
         swept = sweep(snapshots, activity, {"actm": actm_scores}, self.WINDOWS)
         for w in self.WINDOWS:
-            single = score_sequence(snapshots, CdpConfig(window=w), ("actm",), (w,))[("actm", w)]
+            single = score_sequence(snapshots, CdpConfig(), ("actm",), (w,))[("actm", w)]
             self.assert_same_series(swept[("actm", w)], single)

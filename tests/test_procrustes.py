@@ -56,7 +56,7 @@ def reference_gpa(matrices, threshold=1e-10, max_iterations=100):
 def dcsbm_embeddings(count, seed, scale=1 / 30):
     model = catalog("M1", scale=scale)
     rng = np.random.default_rng(seed)
-    config = CdpConfig(window=1, seed=seed)
+    config = CdpConfig(seed=seed)
     embeddings = []
     for t in range(1, count + 1):
         theta = sample_theta(model, rng)
