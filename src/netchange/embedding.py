@@ -12,16 +12,18 @@ original matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric
+from .errors import InvalidWeight, NotSymmetric
 
 SYMMETRY_ATOL = 1e-10
 RANK_TOLERANCE = 1e-12
 ZERO_RESIDUAL_FROBENIUS = 1e-14
 DEFAULT_RANK_EPSILON = 0.005
+BLOCK_ROWS = 64  # rows per block where a full n x n temporary is avoided
 
 
 @dataclass(frozen=True)
@@ -41,28 +43,39 @@ class Embedding:
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
+    """M as float, if square, finite and symmetric; checked in row blocks."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
-    if np.abs(M - M.T).max(initial=0.0) > SYMMETRY_ATOL:
-        raise NotSymmetric("matrix is not symmetric to 1e-10")
+    for i in range(0, M.shape[0], BLOCK_ROWS):
+        rows = M[i : i + BLOCK_ROWS]
+        if not np.isfinite(rows).all():
+            raise InvalidWeight("matrix has a non-finite (inf or nan) entry")
+        if np.abs(rows - M[:, i : i + BLOCK_ROWS].T).max(initial=0.0) > SYMMETRY_ATOL:
+            raise NotSymmetric("matrix is not symmetric to 1e-10")
     return M
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so the first non-negligible entry is nonnegative."""
-    significant = np.abs(vectors) > 1e-12
+    """Flip column signs in place so the first non-negligible entry is nonnegative."""
+    significant = vectors > 1e-12
+    significant |= vectors < -1e-12
     cols = np.arange(vectors.shape[1])
     first = np.argmax(significant, axis=0)
     flip = significant[first, cols] & (vectors[first, cols] < 0)
-    return np.where(flip, -vectors, vectors)
+    return np.negative(vectors, out=vectors, where=flip)
 
 
 def _eigsorted(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition sorted by |eigenvalue| descending, signs fixed."""
+    """Full eigendecomposition sorted by |eigenvalue| descending, signs fixed.
+
+    The vectors keep the Fortran order of the column gather.
+    """
     evals, evecs = np.linalg.eigh(M)
     order = np.argsort(-np.abs(evals), kind="stable")
-    return evals[order], _fix_column_signs(evecs[:, order])
+    vectors = evecs[:, order]
+    del evecs
+    return evals[order], _fix_column_signs(vectors)
 
 
 def spectral_norm(
@@ -83,11 +96,11 @@ def spectral_norm(
         rng = np.random.default_rng(0)
     n = M.shape[0]
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     estimate = 0.0
     for _ in range(max_iter):
         w = M @ v
-        new_estimate = float(np.linalg.norm(w))
+        new_estimate = math.sqrt(w.dot(w))  # np.linalg.norm(w), bit for bit
         if new_estimate == 0.0:
             return 0.0
         if abs(new_estimate - estimate) <= tol * new_estimate:
@@ -102,13 +115,28 @@ def random_sign_flip(R: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     `R` must be square and symmetric; this is not checked.  Signs are drawn
     for the upper triangle (diagonal included) and mirrored, so the output
-    stays symmetric and the Frobenius norm is preserved exactly.
+    stays symmetric and the Frobenius norm is preserved exactly.  A 0 in
+    `rng.integers(0, 2, (n, n))`, drawn in row blocks, flips.  `R` is unchanged.
     """
     R = np.asarray(R, dtype=float)
     n = R.shape[0]
-    draws = rng.integers(0, 2, size=(n, n)) * 2 - 1
-    signs = np.triu(draws) + np.triu(draws, 1).T
-    return R * signs
+    flip = np.empty((n, n), dtype=bool)
+    for i in range(0, n, BLOCK_ROWS):
+        draws = rng.integers(0, 2, size=(min(BLOCK_ROWS, n - i), n))
+        np.equal(draws, 0, out=flip[i : i + BLOCK_ROWS])
+    flip = np.triu(flip)
+    flip |= flip.T
+    out = R.copy()
+    bits = out.view(np.uint64)  # negate by toggling the IEEE sign bit
+    for i in range(0, n, BLOCK_ROWS):
+        bits[i : i + BLOCK_ROWS] ^= flip[i : i + BLOCK_ROWS].astype(np.uint64) << 63
+    return out
+
+
+def _residual(M: np.ndarray, evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
+    """M minus its leading k+1 eigencomponents, formed in the product's output."""
+    P = (evecs[:, : k + 1] * evals[: k + 1]) @ evecs[:, : k + 1].T
+    return np.subtract(M, P, out=P)
 
 
 def _rank_from_spectrum(
@@ -134,12 +162,14 @@ def _rank_from_spectrum(
     rank = int(np.count_nonzero(sv[1:] > RANK_TOLERANCE * sv[1]))
     frob = np.sqrt(np.cumsum(sv[::-1] ** 2)[::-1])  # frob[j]^2 = sum(sv[j:]^2)
     for k in range(1, rank):  # frob[k + 1] >= sv[k + 1] > 0 here
-        residual = M - (evecs[:, : k + 1] * evals[: k + 1]) @ evecs[:, : k + 1].T
         # Child 0 draws the flip, child 2 starts the flipped norm, child 1 is
         # unused: this keeps every sign flip, so every d the references record.
         flip_rng, _, norm_rng = rng.spawn(3)
-        flipped = random_sign_flip(residual, flip_rng)
-        rho = abs(sv[k + 1] - spectral_norm(flipped, norm_rng)) / frob[k + 1]
+        # nested so the residual and its flip are freed before the next k
+        flipped_norm = spectral_norm(
+            random_sign_flip(_residual(M, evals, evecs, k), flip_rng), norm_rng
+        )
+        rho = abs(sv[k + 1] - flipped_norm) / frob[k + 1]
         if rho <= epsilon:
             return k
     return rank

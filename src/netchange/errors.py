@@ -6,7 +6,7 @@ class NetchangeError(Exception):
 
 
 class InvalidWeight(NetchangeError):
-    """An edge weight is negative or otherwise not a valid nonnegative real."""
+    """An edge weight or matrix entry is not finite, or a weight is negative."""
 
 
 class EmptyGraph(NetchangeError):

@@ -99,11 +99,16 @@ class SnapshotMatrix:
     @property
     def W(self) -> np.ndarray:
         """The dense n x n symmetric matrix: a new read-only array per access."""
+        W = self._dense()
+        W.flags.writeable = False
+        return W
+
+    def _dense(self) -> np.ndarray:
+        """A new writable dense n x n array filled from the stored edges."""
         rows, cols, weights = self.edges
         W = np.zeros((self.n, self.n))
         W[rows, cols] = weights
         W[cols, rows] = weights
-        W.flags.writeable = False
         return W
 
 
@@ -160,15 +165,28 @@ def representation_matrix(snapshot: SnapshotMatrix) -> RepresentationMatrix:
     then symmetric degree normalization D^(-1/2) W D^(-1/2).  Because tau
     is strictly positive for any nonzero snapshot, every regularized degree
     is at least n * tau and the normalization never divides by zero.
+
+    Each step runs in place, in the operand order of `log_transform` and
+    `max_scale`, so the values are theirs while at most three n x n arrays
+    are alive at once: the scaled matrix, M and a transposed copy of M.
     """
-    scaled = max_scale(log_transform(snapshot.W))
+    scaled = snapshot._dense()  # stored weights are nonnegative
+    np.add(scaled, 1.0, out=scaled)
+    np.log10(scaled, out=scaled)
+    top = scaled.max(initial=0.0)
+    if top <= 0.0:
+        raise EmptyGraph("matrix has no positive entries; nothing to embed")
+    np.divide(scaled, top, out=scaled)
     tau = regularizer_tau(scaled)
-    W_tau = scaled + tau
-    degrees = W_tau.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    M = inv_sqrt[:, None] * W_tau * inv_sqrt[None, :]
-    # enforce exact symmetry; the scaling above is symmetric only up to rounding
-    M = (M + M.T) / 2.0
+    M = scaled + tau  # W_tau, degree-normalized in place
+    inv_sqrt = 1.0 / np.sqrt(M.sum(axis=1))
+    M *= inv_sqrt[:, None]
+    M *= inv_sqrt[None, :]
+    # enforce exact symmetry; the scaling above is symmetric only up to rounding.
+    # The transposed copy is the last n x n allocation, so the space it frees
+    # on return lies at the end of the heap, where the next eigh reuses it.
+    M += M.T.copy()
+    M /= 2.0
     M.flags.writeable = False
     scaled.flags.writeable = False
     return RepresentationMatrix(M=M, tau=tau, scaled_W=scaled)

@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import netchange.embedding
 from netchange import (
+    InvalidWeight,
     NotSymmetric,
     SnapshotMatrix,
     embed,
@@ -80,6 +84,27 @@ class TestSymmetricSpectrum:
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
+    def test_vectors_bit_and_layout_identical_to_where_formula(self):
+        def where_formula(M):
+            evals, evecs = np.linalg.eigh(M)
+            V = evecs[:, np.argsort(-np.abs(evals), kind="stable")]
+            significant = np.abs(V) > 1e-12
+            cols = np.arange(V.shape[1])
+            first = np.argmax(significant, axis=0)
+            flip = significant[first, cols] & (V[first, cols] < 0)
+            return np.where(flip, -V, V)
+
+        rng = np.random.default_rng(19)
+        W = np.zeros((40, 40))
+        W[:25, :25] = rng.random((25, 25))
+        W = W + W.T  # vertices 25..39 are isolated: leading exact zeros
+        for M in (random_symmetric(31, rng), representation_matrix(SnapshotMatrix(W)).M):
+            expected = where_formula(M)
+            _, got = _eigsorted(M)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            assert got.flags.c_contiguous == expected.flags.c_contiguous
+            assert got.flags.f_contiguous == expected.flags.f_contiguous
+
     def test_sigma1_matches_spectral_norm(self):
         rng = np.random.default_rng(15)
         M = random_symmetric(8, rng)
@@ -106,6 +131,14 @@ class TestSpectralNorm:
             got = spectral_norm(M, np.random.default_rng(2), tol=1e-12)
             assert abs(got - expected) < 1e-6
 
+    def test_sqrt_dot_is_bitwise_linalg_norm(self):
+        # the power iterations take the norm as math.sqrt(w.dot(w))
+        rng = np.random.default_rng(23)
+        for size in (1, 2, 7, 300, 901):
+            for scale in (1e-150, 1e-3, 1.0, 1e150):
+                w = rng.standard_normal(size) * scale
+                assert math.sqrt(w.dot(w)) == np.linalg.norm(w)
+
     def test_default_tolerance_is_close(self):
         # documented default stops on 1e-6 relative change
         got = spectral_norm(np.diag([2.0, -5.0]))
@@ -129,6 +162,20 @@ class TestRandomSignFlip:
         # frozen once from seed 123 so regressions in RNG plumbing show up
         out = random_sign_flip(np.array([[1.0, 2.0], [2.0, 1.0]]), np.random.default_rng(123))
         assert np.array_equal(out, np.array([[-1.0, 2.0], [2.0, -1.0]]))
+
+    @pytest.mark.parametrize("n", [37, 301])
+    def test_bit_identical_to_dense_sign_matrix(self, n):
+        rng = np.random.default_rng(n)
+        R = random_symmetric(n, rng)
+        R[rng.random((n, n)) < 0.2] = 0.0  # signed zeros must match too
+        R = np.triu(R) + np.triu(R, 1).T
+        before = R.copy()
+        d = np.random.default_rng(7).integers(0, 2, (n, n)) * 2 - 1
+        expected = R * (np.triu(d) + np.triu(d, 1).T)
+        got = random_sign_flip(R, np.random.default_rng(7))
+        assert got is not R
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(R.view(np.uint64), before.view(np.uint64))
 
     def test_signs_actually_flip(self):
         rng = np.random.default_rng(9)
@@ -207,6 +254,38 @@ class TestEmbed:
     def test_rejects_single_row(self):
         with pytest.raises(ValueError, match="2 rows"):
             embed(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_diagonal(self, bad):
+        M = random_symmetric(20, np.random.default_rng(1))
+        M[3, 3] = bad
+        with pytest.raises(InvalidWeight, match="non-finite"):
+            embed(M)
+
+    def test_rejects_symmetric_nan_pair(self):
+        M = random_symmetric(130, np.random.default_rng(2))
+        M[120, 5] = M[5, 120] = np.nan  # outside the first row block
+        with pytest.raises(InvalidWeight, match="non-finite"):
+            embed(M)
+
+    def test_working_set_beyond_input(self):
+        # eigenvectors, one residual and its flip, plus bool masks: about
+        # 3.7 n^2 doubles.  Keeping M - P beside P, the full int64 sign draw
+        # or the previous k's flip alive takes it past 5 n^2.
+        n = 300
+        rng = np.random.default_rng(13)
+        blocks = np.arange(n) * 3 // n
+        density = np.where(blocks[:, None] == blocks[None, :], 0.2, 0.02)
+        W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density), 1)
+        M = representation_matrix(SnapshotMatrix(W + W.T)).M
+        tracemalloc.start()
+        try:
+            d = embed(M, rng=np.random.default_rng(0)).d
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d == 2  # the rank search ran k = 1 and k = 2
+        assert peak <= 4.5 * n * n * 8
 
     def test_2x2_second_vector(self):
         e = embed(np.array([[0.1, 0.9], [0.9, 0.1]]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,42 @@ class TestRepresentationMatrix:
         expected_M, expected_tau = naive_representation(snap.W)
         assert rep.tau == pytest.approx(expected_tau, abs=1e-15)
         assert np.abs(rep.M - expected_M).max() < 1e-12
+
+    def test_bitwise_equal_to_composed_steps(self):
+        # the in-place build must keep the bits of the out-of-place chain
+        W = TestSnapshotMatrix.irregular_matrix()
+        rng = np.random.default_rng(3)
+        for snap in (SnapshotMatrix(W), random_snapshot(37, rng), random_snapshot(64, rng)):
+            scaled = max_scale(log_transform(snap.W))
+            tau = regularizer_tau(scaled)
+            W_tau = scaled + tau
+            inv_sqrt = 1.0 / np.sqrt(W_tau.sum(axis=1))
+            M = inv_sqrt[:, None] * W_tau * inv_sqrt[None, :]
+            M = (M + M.T) / 2.0
+            rep = representation_matrix(snap)
+            assert rep.tau == tau
+            assert np.array_equal(rep.scaled_W.view(np.uint64), scaled.view(np.uint64))
+            assert np.array_equal(rep.M.view(np.uint64), M.view(np.uint64))
+            assert rep.M.flags.c_contiguous and rep.scaled_W.flags.c_contiguous
+            assert not rep.M.flags.writeable and not rep.scaled_W.flags.writeable
+
+    def test_working_set_is_three_dense_arrays(self):
+        # scaled_W, M and a transposed copy of M; a regression that keeps
+        # one more n x n temporary alive exceeds the bound
+        n = 300
+        rng = np.random.default_rng(11)
+        rows, cols = np.divmod(rng.choice(n * n, size=1500, replace=False), n)
+        keep = rows < cols
+        snap = SnapshotMatrix.from_edges(
+            n, rows[keep], cols[keep], rng.integers(1, 5, keep.sum()).astype(float)
+        )
+        tracemalloc.start()
+        try:
+            representation_matrix(snap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * n * n * 8
 
     def test_empty_graph_propagates(self):
         snap = SnapshotMatrix(W=np.zeros((3, 3)))
