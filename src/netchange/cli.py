@@ -171,7 +171,7 @@ def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -212,37 +212,22 @@ class _Stage:
 
 
 def write_manifest(
-    out_dir: Path,
-    command: str,
-    config: dict,
-    inputs: list[str],
-    outputs: list[str],
-    seed: int | None,
+    out_dir: Path, args: argparse.Namespace, inputs: list[str], outputs: list[str],
     stages: StageTimer,
-) -> Path:
+) -> None:
+    """Write `out_dir/manifest.json`; `outputs` are file names inside `out_dir`."""
+    skip = {"func", "command", "config"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "config": config,
+        "config": {k: v for k, v in sorted(vars(args).items()) if k not in skip},
         "inputs": inputs,
-        "outputs": sorted(outputs),
-        "seed": seed,
+        "outputs": sorted(str(out_dir / name) for name in outputs),
+        "seed": args.seed,
         "stages": stages.records,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def _config_snapshot(args: argparse.Namespace) -> dict:
-    skip = {"func", "command", "config"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    text = json.dumps(manifest, indent=2) + "\n"
+    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
 
 
 def _scenario_spec(args) -> ScenarioSpec:
@@ -250,31 +235,20 @@ def _scenario_spec(args) -> ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each runs its stages into `out` and returns
+# (input paths, output file names, summary line)
 
 
-def cmd_simulate(args, stages: StageTimer) -> int:
-    out = _out_dir(args)
+def cmd_simulate(args, out: Path, stages: StageTimer):
     with stages("build-scenario"):
         spec = _scenario_spec(args)
     with stages("generate"):
         snapshots = generate_sequence(spec, np.random.default_rng(args.seed))
     with stages("write"):
-        edges_path = out / "sequence.tsv"
-        truth_path = out / "ground_truth.json"
-        write_sequence(edges_path, snapshots)
-        write_ground_truth(truth_path, spec)
-    write_manifest(
-        out,
-        "simulate",
-        _config_snapshot(args),
-        inputs=[],
-        outputs=[str(edges_path), str(truth_path)],
-        seed=args.seed,
-        stages=stages,
-    )
-    print(f"wrote {spec.T} snapshots (n={spec.n}) to {edges_path}")
-    return 0
+        write_sequence(out / "sequence.tsv", snapshots)
+        write_ground_truth(out / "ground_truth.json", spec)
+    summary = f"wrote {spec.T} snapshots (n={spec.n}) to {out / 'sequence.tsv'}"
+    return [], ["sequence.tsv", "ground_truth.json"], summary
 
 
 class _ScoreRows:
@@ -300,8 +274,7 @@ class _ScoreRows:
                 yield (t, v, z, zhat, 1 if v in detected else 0)
 
 
-def cmd_detect(args, stages: StageTimer) -> int:
-    out = _out_dir(args)
+def cmd_detect(args, out: Path, stages: StageTimer):
     config = CdpConfig(epsilon_rank=args.epsilon, zscore_threshold=args.threshold, seed=args.seed)
     with stages("ingest"):
         snapshots = ingest_sequence(args.input)
@@ -309,32 +282,32 @@ def cmd_detect(args, stages: StageTimer) -> int:
         method, w = args.method, args.window
         series = score_sequence(snapshots, config, (method,), (w,))[(method, w)]
     with stages("write"):
-        scores_path = out / "scores.csv"
-        write_csv(scores_path, ["t", "vertex", "z", "zscore", "detected"], _ScoreRows(series))
-        dims_path = out / "dims.csv"
-        write_csv(dims_path, ["t", "d"], [(t, series.dims[t]) for t in sorted(series.dims)])
-    write_manifest(
-        out,
-        "detect",
-        _config_snapshot(args),
-        inputs=[str(args.input)],
-        outputs=[str(scores_path), str(dims_path)],
-        seed=args.seed,
-        stages=stages,
-    )
+        write_csv(out / "scores.csv", ["t", "vertex", "z", "zscore", "detected"],
+                  _ScoreRows(series))
+        write_csv(out / "dims.csv", ["t", "d"], [(t, series.dims[t]) for t in sorted(series.dims)])
     scored = series.scored_instants()
-    n = snapshots[0].n
     flagged = sum(len(series.detections[t]) for t in scored)
-    worst = max((len(series.detections[t]) / n for t in scored), default=0.0)
-    print(
-        f"scored {len(scored)} instants with {args.method}; {flagged} detections, "
+    worst = max((len(series.detections[t]) / snapshots[0].n for t in scored), default=0.0)
+    summary = (
+        f"scored {len(scored)} instants with {method}; {flagged} detections, "
         f"max per-instant fraction {worst:.4f}"
     )
-    return 0
+    return [str(args.input)], ["scores.csv", "dims.csv"], summary
 
 
-def cmd_evaluate(args, stages: StageTimer) -> int:
-    out = _out_dir(args)
+# (file, `ExperimentResult` field, header) for each table `evaluate` writes
+_EVALUATE_TABLES = (
+    ("performance.csv", "performance",
+     ["scenario", "method", "window", "run", "t", "phi", "eta", "eta_bar"]),
+    ("sign_tests.csv", "sign_tests",
+     ["scenario", "window", "comparison", "alternative", "p_value"]),
+    ("proportions.csv", "proportions",
+     ["scenario", "window", "comparison", "relation", "proportion"]),
+    ("timings.csv", "timings", ["task", "method", "n", "mean_seconds"]),
+)
+
+
+def cmd_evaluate(args, out: Path, stages: StageTimer):
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
         windows = tuple(int(w) for w in args.windows.split(","))
@@ -344,42 +317,18 @@ def cmd_evaluate(args, stages: StageTimer) -> int:
         spec = _scenario_spec(args)
     with stages("experiment"):
         result = run_experiment(
-            spec,
-            methods=methods,
-            windows=windows,
-            runs=args.runs,
-            seed=args.seed,
-            N=args.phi_samples,
-            epsilon_rank=args.epsilon,
+            spec, methods=methods, windows=windows, runs=args.runs, seed=args.seed,
+            N=args.phi_samples, epsilon_rank=args.epsilon,
         )
     with stages("write"):
-        tables = (
-            ("performance.csv", result.performance,
-             ["scenario", "method", "window", "run", "t", "phi", "eta", "eta_bar"]),
-            ("sign_tests.csv", result.sign_tests,
-             ["scenario", "window", "comparison", "alternative", "p_value"]),
-            ("proportions.csv", result.proportions,
-             ["scenario", "window", "comparison", "relation", "proportion"]),
-            ("timings.csv", result.timings, ["task", "method", "n", "mean_seconds"]),
-        )
-        outputs = []
-        for name, rows, header in tables:
+        for name, field, header in _EVALUATE_TABLES:
+            rows = getattr(result, field)
             write_csv(out / name, header, [tuple(r[h] for h in header) for r in rows])
-            outputs.append(str(out / name))
-    write_manifest(
-        out,
-        "evaluate",
-        _config_snapshot(args),
-        inputs=[],
-        outputs=outputs,
-        seed=args.seed,
-        stages=stages,
-    )
-    print(
-        f"evaluated {result.scenario} over {result.runs} runs, "
+    summary = (
+        f"evaluated {spec.name} over {args.runs} runs, "
         f"methods={','.join(methods)}, windows={args.windows}"
     )
-    return 0
+    return [], [name for name, _, _ in _EVALUATE_TABLES], summary
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +425,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args([argv[0], *file_args, *argv[1:]])
     stages = StageTimer()
     try:
-        return args.func(args, stages)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs, outputs, summary = args.func(args, out, stages)
+        write_manifest(out, args, inputs, outputs, stages)
     except (NetchangeError, ValueError, OSError) as exc:
         stage = stages.current or "setup"
         print(f"netchange {args.command}: stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

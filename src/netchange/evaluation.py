@@ -134,8 +134,6 @@ class ExperimentResult:
     the change in eta since the previous scored instant (None at the first).
     """
 
-    scenario: str
-    runs: int
     performance: list[dict]
     sign_tests: list[dict]
     proportions: list[dict]
@@ -263,8 +261,6 @@ def run_experiment(
     ]
 
     return ExperimentResult(
-        scenario=spec.name,
-        runs=runs,
         performance=[row for rows in blocks.values() for row in rows],
         sign_tests=sign_rows,
         proportions=prop_rows,

@@ -133,19 +133,27 @@ def log_transform(W: np.ndarray) -> np.ndarray:
     Compresses dominant edge weights so that a handful of heavy edges does
     not swamp the embedding.  Zero stays zero.
     """
-    W = np.asarray(W, dtype=float)
+    W = np.array(W, dtype=float)
     if np.any(W < 0):
         raise InvalidWeight("log transform requires nonnegative entries")
-    return np.log10(W + 1.0)
+    return _log_transform_in_place(W)
 
 
 def max_scale(W: np.ndarray) -> np.ndarray:
     """Scale a nonnegative matrix by its maximum entry onto [0, 1]."""
-    W = np.asarray(W, dtype=float)
+    return _max_scale_in_place(np.array(W, dtype=float))
+
+
+def _log_transform_in_place(W: np.ndarray) -> np.ndarray:
+    np.add(W, 1.0, out=W)
+    return np.log10(W, out=W)
+
+
+def _max_scale_in_place(W: np.ndarray) -> np.ndarray:
     top = W.max(initial=0.0)
     if top <= 0.0:
         raise EmptyGraph("matrix has no positive entries; nothing to embed")
-    return W / top
+    return np.divide(W, top, out=W)
 
 
 def regularizer_tau(scaled_W: np.ndarray) -> float:
@@ -166,17 +174,13 @@ def representation_matrix(snapshot: SnapshotMatrix) -> RepresentationMatrix:
     is strictly positive for any nonzero snapshot, every regularized degree
     is at least n * tau and the normalization never divides by zero.
 
-    Each step runs in place, in the operand order of `log_transform` and
-    `max_scale`, so the values are theirs while at most three n x n arrays
-    are alive at once: the scaled matrix, M and a transposed copy of M.
+    Each step runs in place, the first two through the helpers behind
+    `log_transform` and `max_scale`, so the values are theirs while at most
+    three n x n arrays are alive at once: the scaled matrix, M and a
+    transposed copy of M.
     """
-    scaled = snapshot._dense()  # stored weights are nonnegative
-    np.add(scaled, 1.0, out=scaled)
-    np.log10(scaled, out=scaled)
-    top = scaled.max(initial=0.0)
-    if top <= 0.0:
-        raise EmptyGraph("matrix has no positive entries; nothing to embed")
-    np.divide(scaled, top, out=scaled)
+    # no sign check as in `log_transform`: stored weights are nonnegative
+    scaled = _max_scale_in_place(_log_transform_in_place(snapshot._dense()))
     tau = regularizer_tau(scaled)
     M = scaled + tau  # W_tau, degree-normalized in place
     inv_sqrt = 1.0 / np.sqrt(M.sum(axis=1))

@@ -14,6 +14,7 @@ from netchange.cli import (
     ingest_sequence,
     main,
     read_config_file,
+    write_csv,
     write_sequence,
 )
 
@@ -122,6 +123,13 @@ class TestIngest:
         assert len(snaps) == T and snaps[0].n == n
         # the whole sequence costs less than one dense n x n snapshot
         assert held < n * n * 8
+
+
+class TestWriteCsv:
+    def test_numpy_float_cell_writes_plain_digits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], [(np.float64(1.5), 2.25, None)])
+        assert path.read_text() == "a,b,c\n1.5,2.25,\n"
 
 
 class TestConfigFile:
@@ -344,3 +352,88 @@ class TestEvaluateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "--windows" in err and "'1,,5'" in err
+
+
+class TestManifest:
+    """The manifest each command writes: keys, order and contents."""
+
+    KEYS = ["command", "version", "config", "inputs", "outputs", "seed", "stages"]
+
+    def read(self, out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == self.KEYS
+        assert manifest["version"] == __version__
+        return manifest
+
+    def simulate(self, out):
+        argv = ["simulate", "--scenario", "group-change", "--T", "24", "--scale", "0.1",
+                "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        return out / "sequence.tsv"
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "sim"
+        self.simulate(out)
+        manifest = self.read(out)
+        assert manifest["command"] == "simulate"
+        assert list(manifest["config"]) == ["T", "change_type", "out", "scale", "scenario", "seed"]
+        assert manifest["config"]["T"] == 24 and manifest["config"]["out"] == str(out)
+        assert manifest["inputs"] == []
+        assert manifest["outputs"] == [str(out / "ground_truth.json"), str(out / "sequence.tsv")]
+        assert manifest["seed"] == 5
+        assert [s["stage"] for s in manifest["stages"]] == ["build-scenario", "generate", "write"]
+
+    def test_detect(self, tmp_path):
+        edges = self.simulate(tmp_path / "sim")
+        out = tmp_path / "det"
+        argv = ["detect", "--input", str(edges), "--window", "2", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = self.read(out)
+        assert manifest["command"] == "detect"
+        assert list(manifest["config"]) == [
+            "epsilon", "input", "method", "out", "seed", "threshold", "window",
+        ]
+        assert manifest["config"]["method"] == "cdp" and manifest["config"]["window"] == 2
+        assert manifest["inputs"] == [str(edges)]
+        assert manifest["outputs"] == [str(out / "dims.csv"), str(out / "scores.csv")]
+        assert manifest["seed"] == 3
+        assert [s["stage"] for s in manifest["stages"]] == ["ingest", "score", "write"]
+
+    def test_evaluate(self, tmp_path):
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--scenario", "group-change", "--scale", "0.1", "--T", "24",
+                "--methods", "act", "--windows", "1", "--runs", "1", "--phi-samples", "100",
+                "--seed", "9", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = self.read(out)
+        assert manifest["command"] == "evaluate"
+        assert list(manifest["config"]) == [
+            "T", "change_type", "epsilon", "methods", "out", "phi_samples", "runs",
+            "scale", "scenario", "seed", "windows",
+        ]
+        assert manifest["config"]["methods"] == "act" and manifest["config"]["runs"] == 1
+        assert manifest["inputs"] == []
+        assert manifest["outputs"] == [
+            str(out / name)
+            for name in ("performance.csv", "proportions.csv", "sign_tests.csv", "timings.csv")
+        ]
+        assert manifest["seed"] == 9
+        assert [s["stage"] for s in manifest["stages"]] == [
+            "build-scenario", "experiment", "write",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["simulate", "--scenario", "group-change", "--T", "5", "--scale", "0.1"],
+             "build-scenario"),
+            (["detect", "--input", "missing.tsv"], "ingest"),
+            (["evaluate", "--scenario", "merge", "--scale", "0.1", "--methods", "pca",
+              "--runs", "1"], "experiment"),
+        ],
+    )
+    def test_failure_in_a_stage_writes_no_manifest(self, tmp_path, capsys, argv, stage):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"stage '{stage}'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
