@@ -17,9 +17,7 @@ from .baselines import (
     actm_scores,
 )
 from .dcsbm import (
-    ConstantTheta,
     DcsbmModel,
-    PowerLawTheta,
     ScenarioSpec,
     block_matrix,
     catalog,
@@ -41,7 +39,6 @@ from .errors import (
     EmptyPartition,
     FormatError,
     InvalidProbability,
-    InvalidShape,
     InvalidWeight,
     NetchangeError,
     NotConverged,
@@ -57,7 +54,6 @@ from .evaluation import (
     sign_test,
 )
 from .graph import (
-    RepresentationMatrix,
     SnapshotMatrix,
     log_transform,
     max_scale,

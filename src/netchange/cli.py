@@ -17,6 +17,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -92,9 +93,12 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
                 raise FormatError(f"{path.name}:{lineno}: weight must be finite")
             if weight < 0:
                 raise FormatError(f"{path.name}:{lineno}: weight must be nonnegative: {weight}")
-            times.append(t)
-            firsts.append(i)
-            seconds.append(j)
+            try:
+                times.append(t)
+                firsts.append(i)
+                seconds.append(j)
+            except OverflowError:
+                raise FormatError(f"{path.name}:{lineno}: index does not fit in 64 bits") from None
             linenos.append(lineno)
             weights.append(weight)
     if not times:
@@ -167,19 +171,12 @@ def write_ground_truth(path: str | Path, spec: ScenarioSpec) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> None:
     """Write a header and rows, one line each, without holding the whole text."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(",".join(_format_cell(v) for v in row) + "\n" for row in rows)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class StageTimer:
@@ -429,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         inputs, outputs, summary = args.func(args, out, stages)
         write_manifest(out, args, inputs, outputs, stages)
-    except (NetchangeError, ValueError, OSError) as exc:
+    except (NetchangeError, ValueError, OSError, MemoryError) as exc:
         stage = stages.current or "setup"
         print(f"netchange {args.command}: stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1

@@ -3,11 +3,12 @@
 Edge weights between distinct vertices are independent Poisson draws with
 mean theta_i * theta_j * psi(block_i, block_j), where psi scales a block
 probability matrix by the block sizes and the theta vector carries
-per-vertex degree propensities (power-law or constant, normalized to sum
-to one inside each block).  A scenario pairs a baseline model with a
-changed model, an interval of changed instants (one instant for a point
-change) and the changed vertex set; that scenario is the ground truth of
-every snapshot sequence sampled from it.
+per-vertex degree propensities (drawn from the catalog power law, or equal
+in the model's constant-theta blocks, normalized to sum to one inside each
+block).  A scenario pairs a baseline model with a changed model, an
+interval of changed instants (one instant for a point change) and the
+changed vertex set; that scenario is the ground truth of every snapshot
+sequence sampled from it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProbability, InvalidShape
+from .errors import InvalidProbability
 from .graph import SnapshotMatrix
 
 # shared catalog constants: block-size vector is per model, everything else fixed
@@ -34,22 +35,6 @@ DEFAULT_INTERVAL = (21, 30)
 
 
 @dataclass(frozen=True)
-class PowerLawTheta:
-    """Degree propensities drawn from a power law, then block-normalized."""
-
-    theta_min: float = CATALOG_THETA_MIN
-    shape: float = CATALOG_THETA_SHAPE
-
-
-@dataclass(frozen=True)
-class ConstantTheta:
-    """Equal degree propensities; normalization makes them 1/block size."""
-
-
-ThetaLaw = PowerLawTheta | ConstantTheta
-
-
-@dataclass(frozen=True)
 class DcsbmModel:
     """Full generative parameter set for one block model.
 
@@ -58,7 +43,8 @@ class DcsbmModel:
         B_planted: k x k planted block probability matrix.
         nu: background (inter-block) probability of the random component.
         lam: mixing weight between planted and random components.
-        theta_laws: per-block degree-propensity law.
+        constant_theta: blocks whose degree propensities are equal; every
+            other block draws the catalog power law.
         name: optional catalog label.
     """
 
@@ -66,7 +52,7 @@ class DcsbmModel:
     B_planted: np.ndarray
     nu: float
     lam: float
-    theta_laws: tuple[ThetaLaw, ...]
+    constant_theta: tuple[int, ...]
     name: str = ""
 
     def __post_init__(self):
@@ -80,13 +66,14 @@ class DcsbmModel:
             raise ValueError(f"planted matrix must be {k}x{k}, got {B.shape}")
         if not np.array_equal(B, B.T):
             raise ValueError("planted block matrix must be symmetric")
-        if len(self.theta_laws) != k:
-            raise ValueError("need one theta law per block")
+        constant = tuple(int(b) for b in self.constant_theta)
+        if any(not 0 <= b < k for b in constant):
+            raise ValueError(f"constant-theta blocks must lie in 0..{k - 1}, got {constant}")
         if not 0.0 <= self.nu <= 1.0 or not 0.0 <= self.lam <= 1.0:
             raise InvalidProbability("nu and lambda must lie in [0, 1]")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "B_planted", B)
-        object.__setattr__(self, "theta_laws", tuple(self.theta_laws))
+        object.__setattr__(self, "constant_theta", constant)
 
     @property
     def n(self) -> int:
@@ -101,29 +88,23 @@ class DcsbmModel:
         return np.repeat(np.arange(self.k), self.g)
 
 
-def sample_power_law(
-    theta_min: float, shape: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Raw power-law draws by inverse CDF: theta = theta_min (1-U)^(-1/(shape-1))."""
-    if shape <= 1.0:
-        raise InvalidShape(f"power-law shape must exceed 1, got {shape}")
-    if theta_min <= 0.0:
-        raise InvalidShape("theta_min must be positive")
+def sample_power_law(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Raw catalog power-law draws by inverse CDF: theta = theta_min (1-U)^(-1/(shape-1))."""
     u = rng.random(size)
-    return theta_min * (1.0 - u) ** (-1.0 / (shape - 1.0))
+    return CATALOG_THETA_MIN * (1.0 - u) ** (-1.0 / (CATALOG_THETA_SHAPE - 1.0))
 
 
 def sample_theta(model: DcsbmModel, rng: np.random.Generator) -> np.ndarray:
     """Draw degree propensities and normalize them to sum to one per block."""
     theta = np.empty(model.n)
     start = 0
-    for size, law in zip(model.g, model.theta_laws):
+    for b, size in enumerate(model.g):
         stop = start + size
-        if isinstance(law, PowerLawTheta):
-            draws = sample_power_law(law.theta_min, law.shape, size, rng)
-            theta[start:stop] = draws / draws.sum()
-        else:
+        if b in model.constant_theta:
             theta[start:stop] = 1.0 / size
+        else:
+            draws = sample_power_law(size, rng)
+            theta[start:stop] = draws / draws.sum()
         start = stop
     return theta
 
@@ -238,9 +219,7 @@ def catalog(name: str, scale: float | None = None) -> DcsbmModel:
         B_planted=np.diag(planted) if planted.ndim == 1 else planted,
         nu=CATALOG_NU,
         lam=CATALOG_LAMBDA,
-        theta_laws=tuple(
-            ConstantTheta() if b in constant else PowerLawTheta() for b in range(len(sizes))
-        ),
+        constant_theta=constant,
         name=key,
     )
 

@@ -25,10 +25,6 @@ class DegenerateShape(NetchangeError):
     """A configuration collapses after centering (zero Frobenius norm)."""
 
 
-class InvalidShape(NetchangeError):
-    """A power-law shape parameter does not define a proper distribution."""
-
-
 class InvalidProbability(NetchangeError):
     """A block probability falls outside [0, 1]."""
 

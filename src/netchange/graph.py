@@ -112,21 +112,6 @@ class SnapshotMatrix:
         return W
 
 
-@dataclass(frozen=True)
-class RepresentationMatrix:
-    """Regularized degree-normalized form of one snapshot.
-
-    Attributes:
-        M: n x n symmetric representation matrix.
-        tau: uniform regularizer added to every entry of the scaled matrix.
-        scaled_W: the log-transformed, max-scaled matrix with entries in [0, 1].
-    """
-
-    M: np.ndarray
-    tau: float
-    scaled_W: np.ndarray = field(repr=False)
-
-
 def log_transform(W: np.ndarray) -> np.ndarray:
     """Apply the elementwise damping x -> log10(x + 1).
 
@@ -166,8 +151,8 @@ def regularizer_tau(scaled_W: np.ndarray) -> float:
     return float(scaled_W.sum() / (4.0 * n * n))
 
 
-def representation_matrix(snapshot: SnapshotMatrix) -> RepresentationMatrix:
-    """Build the regularized degree-normalized representation matrix.
+def representation_matrix(snapshot: SnapshotMatrix) -> np.ndarray:
+    """Build the read-only regularized degree-normalized representation matrix M.
 
     Pipeline: log transform, max scaling, uniform regularization by tau,
     then symmetric degree normalization D^(-1/2) W D^(-1/2).  Because tau
@@ -192,5 +177,4 @@ def representation_matrix(snapshot: SnapshotMatrix) -> RepresentationMatrix:
     M += M.T.copy()
     M /= 2.0
     M.flags.writeable = False
-    scaled.flags.writeable = False
-    return RepresentationMatrix(M=M, tau=tau, scaled_W=scaled)
+    return M

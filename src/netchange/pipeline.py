@@ -101,8 +101,7 @@ def snapshot_rng(seed: int, t: int) -> np.random.Generator:
 
 def embed_snapshot(snapshot: SnapshotMatrix, config: CdpConfig) -> Embedding:
     """Representation matrix plus spectral embedding for one snapshot."""
-    # keep only M, so the scaled copy of W is freed before the embedding runs
-    M = representation_matrix(snapshot).M
+    M = representation_matrix(snapshot)
     rng = snapshot_rng(config.seed, snapshot.t)
     return embed(M, epsilon=config.epsilon_rank, rng=rng, t=snapshot.t)
 

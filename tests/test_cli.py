@@ -131,6 +131,11 @@ class TestWriteCsv:
         write_csv(path, ["a", "b", "c"], [(np.float64(1.5), 2.25, None)])
         assert path.read_text() == "a,b,c\n1.5,2.25,\n"
 
+    def test_field_with_comma_is_quoted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["label", "p"], [("cdp,act", 0.5)])
+        assert path.read_text() == 'label,p\n"cdp,act",0.5\n'
+
 
 class TestConfigFile:
     def test_parse_and_merge(self, tmp_path):
@@ -258,6 +263,26 @@ class TestDetectCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "stage 'ingest'" in err
+
+    def test_oversized_index_fails_in_ingest(self, tmp_path, capsys):
+        edges = write(tmp_path / "e.tsv", "1 0 1 1\n1 0 99999999999999999999 1\n")
+        code = main(["detect", "--input", str(edges), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage 'ingest' failed: e.tsv:2: index does not fit in 64 bits" in err
+
+    def test_out_of_memory_fails_in_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.8 GiB")
+
+        monkeypatch.setattr("netchange.cli.score_sequence", exhausted)
+        edges = write(tmp_path / "e.tsv", "1 0 1 1\n2 0 1 1\n")
+        out = tmp_path / "o"
+        code = main(["detect", "--input", str(edges), "--method", "act", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "netchange detect: stage 'score' failed: Unable to allocate 29.8 GiB\n"
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("window", ["0", "-1"])
     def test_nonpositive_window_fails(self, tmp_path, capsys, window):

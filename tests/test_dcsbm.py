@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from netchange import (
-    ConstantTheta,
     DcsbmModel,
     InvalidProbability,
-    InvalidShape,
-    PowerLawTheta,
     SnapshotMatrix,
     block_matrix,
     catalog,
@@ -26,7 +23,7 @@ def toy_model():
         B_planted=np.diag([0.4, 0.5, 0.6]),
         nu=0.05,
         lam=0.7,
-        theta_laws=(PowerLawTheta(), PowerLawTheta(), ConstantTheta()),
+        constant_theta=(2,),
     )
 
 
@@ -79,19 +76,14 @@ class TestSampleTheta:
                 start += size
             assert np.all(theta > 0)
 
-    def test_invalid_shape_rejected(self):
-        model = DcsbmModel(
-            g=(5, 5),
-            B_planted=np.diag([0.2, 0.3]),
-            nu=0.01,
-            lam=0.5,
-            theta_laws=(PowerLawTheta(shape=1.0), PowerLawTheta()),
-        )
-        with pytest.raises(InvalidShape):
-            sample_theta(model, np.random.default_rng(0))
+    @pytest.mark.parametrize("block", [-1, 3])
+    def test_constant_block_outside_model_rejected(self, block):
+        model = toy_model()
+        with pytest.raises(ValueError, match=r"constant-theta blocks must lie in 0\.\.2"):
+            DcsbmModel(model.g, model.B_planted, model.nu, model.lam, (block,))
 
     def test_power_law_ccdf_slope(self):
-        draws = sample_power_law(1.0, 2.5, 100_000, np.random.default_rng(7))
+        draws = sample_power_law(100_000, np.random.default_rng(7))
         assert ccdf_slope(draws) == pytest.approx(-1.5, abs=0.05)
 
 
@@ -104,8 +96,8 @@ class TestBlockMatrix:
 
     def test_lambda_extremes(self):
         model = toy_model()
-        zero = DcsbmModel(model.g, model.B_planted, model.nu, 0.0, model.theta_laws)
-        one = DcsbmModel(model.g, model.B_planted, model.nu, 1.0, model.theta_laws)
+        zero = DcsbmModel(model.g, model.B_planted, model.nu, 0.0, model.constant_theta)
+        one = DcsbmModel(model.g, model.B_planted, model.nu, 1.0, model.constant_theta)
         assert np.allclose(block_matrix(zero), model.nu, atol=0)
         assert np.array_equal(block_matrix(one), model.B_planted)
 
@@ -115,7 +107,7 @@ class TestBlockMatrix:
             B_planted=np.diag([1.0, 1.0]) * 1.5,
             nu=0.5,
             lam=1.0,
-            theta_laws=(ConstantTheta(), ConstantTheta()),
+            constant_theta=(0, 1),
         )
         with pytest.raises(InvalidProbability):
             block_matrix(bad)
@@ -269,14 +261,14 @@ class TestGenerateSequence:
             B_planted=np.zeros((2, 2)),
             nu=0.0,
             lam=1.0,
-            theta_laws=(ConstantTheta(), ConstantTheta()),
+            constant_theta=(0, 1),
         )
         loud = DcsbmModel(
             g=(5, 5),
             B_planted=np.full((2, 2), 1.0),
             nu=0.0,
             lam=1.0,
-            theta_laws=(ConstantTheta(), ConstantTheta()),
+            constant_theta=(0, 1),
         )
         spec = ScenarioSpec(
             name="custom",

@@ -28,7 +28,7 @@ def three_block_matrix(n=300):
     W = np.zeros((n, n))
     for s in range(0, n, b):
         W[s : s + b, s : s + b] = 1.0
-    return representation_matrix(SnapshotMatrix(W=W)).M
+    return representation_matrix(SnapshotMatrix(W=W))
 
 
 class TestSymmetricSpectrum:
@@ -98,7 +98,7 @@ class TestSymmetricSpectrum:
         W = np.zeros((40, 40))
         W[:25, :25] = rng.random((25, 25))
         W = W + W.T  # vertices 25..39 are isolated: leading exact zeros
-        for M in (random_symmetric(31, rng), representation_matrix(SnapshotMatrix(W)).M):
+        for M in (random_symmetric(31, rng), representation_matrix(SnapshotMatrix(W))):
             expected = where_formula(M)
             _, got = _eigsorted(M)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -277,7 +277,7 @@ class TestEmbed:
         blocks = np.arange(n) * 3 // n
         density = np.where(blocks[:, None] == blocks[None, :], 0.2, 0.02)
         W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density), 1)
-        M = representation_matrix(SnapshotMatrix(W + W.T)).M
+        M = representation_matrix(SnapshotMatrix(W + W.T))
         tracemalloc.start()
         try:
             d = embed(M, rng=np.random.default_rng(0)).d
@@ -297,7 +297,7 @@ class TestEmbed:
         W = np.zeros((n, n))
         W[:b, :b] = 1.0
         W[b:, b:] = 1.0
-        M = representation_matrix(SnapshotMatrix(W=W)).M
+        M = representation_matrix(SnapshotMatrix(W=W))
         e = embed(M, rng=np.random.default_rng(0))
         assert e.d == 1
         col = e.X[:, 0]
@@ -313,7 +313,7 @@ class TestEmbed:
         W[:8, :8] = 1.0
         W[8:18, 8:18] = 2.0
         W[18:, 18:] = 3.0
-        M = representation_matrix(SnapshotMatrix(W=W)).M
+        M = representation_matrix(SnapshotMatrix(W=W))
         perm = rng.permutation(n)
         e = embed(M, rng=np.random.default_rng(4))
         e_perm = embed(M[np.ix_(perm, perm)], rng=np.random.default_rng(4))

@@ -190,23 +190,26 @@ class TestRegularizerTau:
 class TestRepresentationMatrix:
     def test_worked_chain(self):
         snap = SnapshotMatrix(W=np.array([[0.0, 9.0], [9.0, 0.0]]))
-        rep = representation_matrix(snap)
-        assert rep.tau == pytest.approx(0.125, abs=1e-15)
-        assert np.allclose(rep.scaled_W, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-        assert np.allclose(rep.M, [[0.1, 0.9], [0.9, 0.1]], atol=1e-12)
+        M = representation_matrix(snap)
+        scaled = max_scale(log_transform(snap.W))
+        assert regularizer_tau(scaled) == pytest.approx(0.125, abs=1e-15)
+        assert np.allclose(scaled, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+        assert np.allclose(M, [[0.1, 0.9], [0.9, 0.1]], atol=1e-12)
 
     def test_uniform_weights_give_constant_matrix(self):
         snap = SnapshotMatrix(W=np.full((5, 5), 4.0))
-        rep = representation_matrix(snap)
-        assert np.allclose(rep.M, 1.0 / 5.0, atol=1e-12)
+        M = representation_matrix(snap)
+        assert np.allclose(M, 1.0 / 5.0, atol=1e-12)
 
     def test_matches_naive_recomputation(self):
         rng = np.random.default_rng(42)
         snap = random_snapshot(10, rng)
-        rep = representation_matrix(snap)
+        M = representation_matrix(snap)
         expected_M, expected_tau = naive_representation(snap.W)
-        assert rep.tau == pytest.approx(expected_tau, abs=1e-15)
-        assert np.abs(rep.M - expected_M).max() < 1e-12
+        assert regularizer_tau(max_scale(log_transform(snap.W))) == pytest.approx(
+            expected_tau, abs=1e-15
+        )
+        assert np.abs(M - expected_M).max() < 1e-12
 
     def test_bitwise_equal_to_composed_steps(self):
         # the in-place build must keep the bits of the out-of-place chain
@@ -220,14 +223,12 @@ class TestRepresentationMatrix:
             M = inv_sqrt[:, None] * W_tau * inv_sqrt[None, :]
             M = (M + M.T) / 2.0
             rep = representation_matrix(snap)
-            assert rep.tau == tau
-            assert np.array_equal(rep.scaled_W.view(np.uint64), scaled.view(np.uint64))
-            assert np.array_equal(rep.M.view(np.uint64), M.view(np.uint64))
-            assert rep.M.flags.c_contiguous and rep.scaled_W.flags.c_contiguous
-            assert not rep.M.flags.writeable and not rep.scaled_W.flags.writeable
+            assert np.array_equal(rep.view(np.uint64), M.view(np.uint64))
+            assert rep.flags.c_contiguous
+            assert not rep.flags.writeable
 
     def test_working_set_is_three_dense_arrays(self):
-        # scaled_W, M and a transposed copy of M; a regression that keeps
+        # the scaled matrix, M and a transposed copy of M; a regression that keeps
         # one more n x n temporary alive exceeds the bound
         n = 300
         rng = np.random.default_rng(11)
@@ -255,18 +256,19 @@ class TestRepresentationMatrix:
             snap = random_snapshot(12, rng)
             perm = rng.permutation(12)
             permuted = SnapshotMatrix(W=snap.W[np.ix_(perm, perm)])
-            M = representation_matrix(snap).M
-            M_perm = representation_matrix(permuted).M
+            M = representation_matrix(snap)
+            M_perm = representation_matrix(permuted)
             assert np.abs(M_perm - M[np.ix_(perm, perm)]).max() < 1e-14
 
     def test_regularized_degrees_strictly_positive(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             snap = random_snapshot(8, rng)
-            rep = representation_matrix(snap)
-            W_tau = rep.scaled_W + rep.tau
+            scaled = max_scale(log_transform(snap.W))
+            tau = regularizer_tau(scaled)
+            W_tau = scaled + tau
             degrees = W_tau.sum(axis=1)
-            assert np.all(degrees >= 8 * rep.tau - 1e-15)
+            assert np.all(degrees >= 8 * tau - 1e-15)
             assert np.all(degrees > 0)
 
 

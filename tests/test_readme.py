@@ -1,9 +1,11 @@
-"""The README's library example runs as written, on a smaller scenario."""
+"""The README's examples stay valid: the library example runs, the commands parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import netchange
+from netchange.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +25,26 @@ def test_library_quick_start_runs(monkeypatch, capsys):
     printed = capsys.readouterr().out.splitlines()
     # detections at t=21 for cdp, the ground truth, detections for actm
     assert len(printed) >= 3
+
+
+COMMANDS = [["netchange", name] for name in ("simulate", "detect", "evaluate")]
+
+
+def readme_commands() -> list[list[str]]:
+    """Each `netchange simulate|detect|evaluate` command in the README's sh blocks."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:2] in COMMANDS:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 4
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
