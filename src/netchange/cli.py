@@ -45,7 +45,7 @@ from .evaluation import (
     run_experiment,
     score_sequence,
 )
-from .graph import SnapshotMatrix
+from .graph import MAX_VERTICES, SnapshotMatrix
 from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, ScoreSeries
 
 
@@ -106,6 +106,9 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
     t, i, j = np.array(times), np.array(firsts), np.array(seconds)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     size = int(hi.max()) + 1
+    if size > MAX_VERTICES:  # the grouping key below would overflow int64
+        at = linenos[np.argmax(hi)]
+        raise FormatError(f"{path.name}:{at}: vertex index {size - 1} exceeds {MAX_VERTICES - 1}")
     # group the lines by (t, pair), each group in file order
     order = np.lexsort((lo * size + hi, t))
     t, lo, hi = t[order], lo[order], hi[order]
@@ -166,7 +169,7 @@ def write_ground_truth(path: str | Path, spec: ScenarioSpec) -> None:
         "n": spec.n,
         "T": spec.T,
         "changed_vertices": [int(v) for v in spec.changed_vertices],
-        "change_times": spec.change.times(),
+        "change_times": list(spec.change),
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -372,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="point",
             choices=("point", "interval"),
             help=f"single instant (t*={DEFAULT_CHANGE_INSTANT}) or sustained "
-            f"interval {DEFAULT_INTERVAL[0]}..{DEFAULT_INTERVAL[1]}",
+            f"interval {DEFAULT_INTERVAL[0]}..{DEFAULT_INTERVAL[-1]}",
         )
         p.add_argument("--T", type=int, default=DEFAULT_T, help="sequence length")
         p.add_argument("--scale", type=float, default=None, help="uniform block-size multiplier")
@@ -414,14 +417,14 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        file_args = []
-        for key, value in read_config_file(args.config).items():
-            file_args.extend([f"--{key.replace('_', '-')}", value])
-        # file values act as defaults: explicit flags come later and win
-        args = parser.parse_args([argv[0], *file_args, *argv[1:]])
     stages = StageTimer()
     try:
+        if args.config:
+            file_args = []
+            for key, value in read_config_file(args.config).items():
+                file_args.extend([f"--{key.replace('_', '-')}", value])
+            # file values act as defaults: explicit flags come later and win
+            args = parser.parse_args([argv[0], *file_args, *argv[1:]])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         inputs, outputs, summary = args.func(args, out, stages)

@@ -127,7 +127,9 @@ def random_sign_flip(R: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     flip = np.triu(flip)
     flip |= flip.T
     out = R.copy()
-    bits = out.view(np.uint64)  # negate by toggling the IEEE sign bit
+    # negate by toggling the IEEE sign bit: np.negative(R, out=R.copy(), where=flip) gives
+    # the same bits but took 8.6 ms, not 1.3 ms, per n=900 flip (2 vCPUs); 0.5 s of cdp detect
+    bits = out.view(np.uint64)
     for i in range(0, n, BLOCK_ROWS):
         bits[i : i + BLOCK_ROWS] ^= flip[i : i + BLOCK_ROWS].astype(np.uint64) << 63
     return out

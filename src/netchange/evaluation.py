@@ -174,7 +174,7 @@ def run_experiment(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if N < 1:
         raise ValueError(f"phi sample count N must be >= 1, got {N}")
-    t_change = spec.change_instant
+    t_change = spec.change.start
     for w in windows:
         if w >= t_change:
             raise ValueError(f"window {w} must be smaller than change instant {t_change}")
@@ -183,7 +183,6 @@ def run_experiment(
 
     # one row list per (method, w), in output order, joined at the end
     blocks: dict[tuple[str, int], list[dict]] = {(m, w): [] for m in methods for w in windows}
-    eta_tstar: dict[tuple[str, int], list[float]] = {key: [] for key in blocks}
     seconds: dict[tuple[str, str], list[float]] = {
         (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
     }
@@ -214,8 +213,6 @@ def run_experiment(
                         "eta_bar": None if prev_eta is None else eta - prev_eta,
                     }
                 )
-                if t == t_change:
-                    eta_tstar[(method, w)].append(eta)
                 prev_eta = eta
 
     sign_rows: list[dict] = []
@@ -223,8 +220,9 @@ def run_experiment(
     pairs = [(a, b) for i, a in enumerate(methods) for b in methods[i + 1 :]]
     for w in windows:
         for a, b in pairs:
-            eta_a = np.array(eta_tstar[(a, w)])
-            eta_b = np.array(eta_tstar[(b, w)])
+            eta_a, eta_b = (  # eta(t*) of every run, from the performance rows
+                np.array([r["eta"] for r in blocks[(m, w)] if r["t"] == t_change]) for m in (a, b)
+            )
             for alternative in ("greater", "less", "two_sided"):
                 try:
                     p = sign_test(eta_a, eta_b, alternative)

@@ -13,11 +13,15 @@ be shared freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyGraph, InvalidWeight, NotSymmetric
+
+# largest n whose pair keys min * n + max, diagonal (n-1, n-1) included, fit in int64
+MAX_VERTICES = math.isqrt(int(np.iinfo(np.int64).max) + 1)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -68,8 +72,8 @@ class SnapshotMatrix:
             raise ValueError("vertex indices must be integers")
         rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
         weights = np.asarray(weights, dtype=float)
-        if n < 2:
-            raise ValueError("a snapshot needs at least 2 vertices")
+        if not 2 <= n <= MAX_VERTICES:
+            raise ValueError(f"a snapshot needs 2 to {MAX_VERTICES} vertices, got n={n}")
         if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
             raise ValueError("rows, cols and weights must be 1-d arrays of one length")
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):

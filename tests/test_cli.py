@@ -62,6 +62,12 @@ class TestIngest:
         snaps = ingest_sequence(path)
         assert snaps[0].W[1, 0] == 4.0
 
+    def test_index_beyond_pair_key_range_rejected(self, tmp_path):
+        # this line was once stored silently as the edge (-1689348814, 1290448383)
+        path = write(tmp_path / "e.tsv", "1 0 1 1\n1 2000000000 4999999999 1\n")
+        with pytest.raises(FormatError, match="e.tsv:2: vertex index 4999999999 exceeds"):
+            ingest_sequence(path)
+
     def test_vertex_count_override(self, tmp_path):
         path = write(tmp_path / "e.tsv", "1 0 1 1\n")
         assert ingest_sequence(path, n=5)[0].n == 5
@@ -165,6 +171,22 @@ class TestConfigFile:
         cfg = write(tmp_path / "run.cfg", "just-a-token\n")
         with pytest.raises(FormatError):
             read_config_file(cfg)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "No such file"), ("just-a-token\n", "run.cfg:1: expected 'key = value'")],
+    )
+    def test_config_error_fails_in_setup(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            write(cfg, text)
+        out = tmp_path / "o"
+        argv = ["simulate", "--scenario", "split", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("netchange simulate: stage 'setup' failed: ")
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

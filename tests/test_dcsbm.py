@@ -14,7 +14,7 @@ from netchange import (
     scenario,
 )
 from netchange import dcsbm
-from netchange.dcsbm import SCENARIO_NAMES, ChangeInterval, ScenarioSpec, sample_power_law
+from netchange.dcsbm import SCENARIO_NAMES, ScenarioSpec, sample_power_law
 
 
 def toy_model():
@@ -192,12 +192,12 @@ class TestScenario:
         assert spec.f0.name == "M1"
         assert spec.f1.name == "M4"
         assert np.array_equal(spec.changed_vertices, np.arange(600))
-        assert spec.change == ChangeInterval(start=21, end=21)
-        assert spec.change_instant == 21
+        assert spec.change == range(21, 22)
+        assert spec.change.start == 21
 
     def test_interval_wiring(self):
         spec = scenario("form", change_type="interval")
-        assert spec.change == ChangeInterval(start=21, end=30)
+        assert spec.change == range(21, 31)
         assert np.array_equal(spec.changed_vertices, np.arange(600, 900))
 
     def test_changed_sets_scale_with_blocks(self):
@@ -225,7 +225,7 @@ class TestChangeValidation:
             name="null",
             f0=model,
             f1=model,
-            change=ChangeInterval(start=start, end=end),
+            change=range(start, end + 1),
             T=T,
             changed_vertices=np.arange(5),
         )
@@ -248,9 +248,9 @@ class TestChangeValidation:
 
     def test_point_change_is_one_instant_interval(self):
         spec = self.spec(6, 6)
-        assert spec.change.times() == [6]
-        assert spec.change_instant == 6
-        assert [t for t in range(1, 7) if spec.change.active(t)] == [6]
+        assert list(spec.change) == [6]
+        assert spec.change.start == 6
+        assert [t for t in range(1, 7) if t in spec.change] == [6]
 
 
 class TestGenerateSequence:
@@ -274,7 +274,7 @@ class TestGenerateSequence:
             name="custom",
             f0=silent,
             f1=loud,
-            change=ChangeInterval(start=4, end=4),
+            change=range(4, 5),
             T=6,
             changed_vertices=np.arange(5),
         )
@@ -282,13 +282,13 @@ class TestGenerateSequence:
         weights = [s.W.sum() for s in snaps]
         assert weights[3] > 0
         assert all(w == 0 for t, w in enumerate(weights) if t != 3)
-        assert spec.change.times() == [4]
+        assert list(spec.change) == [4]
 
     def test_interval_change_span(self):
         spec = scenario("fragment", change_type="interval", scale=0.1)
         snaps = generate_sequence(spec, np.random.default_rng(0))
         assert [s.t for s in snaps] == list(range(1, 31))
-        assert spec.change.times() == list(range(21, 31))
+        assert list(spec.change) == list(range(21, 31))
 
     def test_seed_determinism(self):
         spec = scenario("split", scale=0.1, T=5, t_star=4)
@@ -352,7 +352,7 @@ class TestPairListDraw:
         rng = np.random.default_rng(9)
         assert len(snaps) == spec.T
         for t, snap in enumerate(snaps, start=1):
-            model = spec.f1 if spec.change.active(t) else spec.f0
+            model = spec.f1 if t in spec.change else spec.f0
             assert_same_edges(snap, dense_sample_snapshot(model, sample_theta(model, rng), rng, t))
 
     def test_pair_list_built_once_per_sequence(self, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import netchange.embedding
 from netchange import (
     InvalidWeight,
+    NotConverged,
     NotSymmetric,
     SnapshotMatrix,
     embed,
@@ -143,6 +144,25 @@ class TestSpectralNorm:
         # documented default stops on 1e-6 relative change
         got = spectral_norm(np.diag([2.0, -5.0]))
         assert abs(got - 5.0) < 1e-4
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="spectral_norm returns its last iterate when max_iter runs out; "
+        "ROADMAP item 3 replaces it with a solver that reports non-convergence",
+    )
+    def test_iteration_cap_reports_not_converged(self):
+        # Eigenvalues 1 - 1e-4 i (i < 50), with the start vector reflected so
+        # that eigenvalue i carries weight (i + 1)^3: the estimate still moves
+        # by more than tol at the 1000th step, short of the norm 1 by ~2e-3.
+        n = 50
+        start = np.random.default_rng(0).standard_normal(n)
+        weights = np.arange(1.0, n + 1) ** 1.5
+        u = start / np.linalg.norm(start) - weights / np.linalg.norm(weights)
+        H = np.eye(n) - 2.0 * np.outer(u, u) / u.dot(u)
+        M = H @ np.diag(1.0 - 1e-4 * np.arange(n)) @ H
+        with pytest.raises(NotConverged):
+            spectral_norm((M + M.T) / 2.0, np.random.default_rng(0))
 
 
 class TestRandomSignFlip:

@@ -15,7 +15,7 @@ from netchange import (
     scenario,
     sign_test,
 )
-from netchange.dcsbm import ChangeInterval, ScenarioSpec, catalog
+from netchange.dcsbm import ScenarioSpec, catalog
 from netchange.evaluation import METHODS, run_seed
 
 
@@ -119,7 +119,7 @@ def tiny_spec(T=8, t_star=6, null=False):
         name="null" if null else "tiny-group-change",
         f0=f0,
         f1=f1,
-        change=ChangeInterval(start=t_star, end=t_star),
+        change=range(t_star, t_star + 1),
         T=T,
         changed_vertices=np.arange(60),
     )

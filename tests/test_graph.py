@@ -17,6 +17,7 @@ from netchange import (
     sample_snapshot,
     sample_theta,
 )
+from netchange.graph import MAX_VERTICES
 
 
 def random_snapshot(n, rng, t=1):
@@ -136,6 +137,16 @@ class TestSnapshotMatrix:
     def test_from_edges_rejects_repeated_pair(self):
         with pytest.raises(ValueError, match="more than once"):
             SnapshotMatrix.from_edges(3, [0, 2], [2, 0], [1.0, 1.0])
+
+    def test_from_edges_pair_keys_fit_up_to_max_vertices(self):
+        n = MAX_VERTICES
+        assert (n - 1) * n + (n - 1) <= np.iinfo(np.int64).max < n * (n + 1) + n
+        snap = SnapshotMatrix.from_edges(n, [n - 1, n - 2, 0], [n - 1, n - 1, 1], [1.0, 2.0, 3.0])
+        rows, cols, weights = snap.edges
+        assert rows.tolist() == [0, n - 2, n - 1] and cols.tolist() == [1, n - 1, n - 1]
+        assert weights.tolist() == [3.0, 2.0, 1.0]
+        with pytest.raises(ValueError, match=f"needs 2 to {n} vertices, got n={n + 1}"):
+            SnapshotMatrix.from_edges(n + 1, [0], [1], [1.0])
 
 
 class TestLogTransform:
