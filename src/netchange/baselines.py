@@ -22,6 +22,7 @@ from .graph import SnapshotMatrix
 from .pipeline import normalize_and_detect  # noqa: F401
 from .procrustes import ScoreVector
 
+# Read at call time, so tests can patch them.
 ACTIVITY_TOL = 1e-13
 ACTIVITY_MAX_ITER = 100_000
 WINDOW_RANK_TOL = 1e-12

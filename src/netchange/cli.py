@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from array import array
@@ -89,7 +90,7 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
                 raise FormatError(f"{path.name}:{lineno}: time index must be >= 1, got {t}")
             if i < 0 or j < 0:
                 raise FormatError(f"{path.name}:{lineno}: vertex indices must be >= 0")
-            if not np.isfinite(weight):
+            if not math.isfinite(weight):
                 raise FormatError(f"{path.name}:{lineno}: weight must be finite")
             if weight < 0:
                 raise FormatError(f"{path.name}:{lineno}: weight must be nonnegative: {weight}")

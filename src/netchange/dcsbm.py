@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProbability
-from .graph import SnapshotMatrix
+from .graph import MAX_VERTICES, SnapshotMatrix
 
 # shared catalog constants: block-size vector is per model, everything else fixed
 CATALOG_LAMBDA = 0.8
@@ -176,8 +176,10 @@ def _draw(
 def _scaled_sizes(sizes: tuple[int, ...], scale: float | None) -> tuple[int, ...]:
     if scale is None:
         return sizes
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if sum(sizes) * scale > MAX_VERTICES:
+        raise ValueError(f"scale {scale} gives more than {MAX_VERTICES} vertices")
     scaled = tuple(int(round(s * scale)) for s in sizes)
     if any(s < 1 for s in scaled):
         raise ValueError(f"scale {scale} collapses a block to zero vertices")

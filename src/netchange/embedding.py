@@ -24,6 +24,9 @@ RANK_TOLERANCE = 1e-12
 ZERO_RESIDUAL_FROBENIUS = 1e-14
 DEFAULT_RANK_EPSILON = 0.005
 BLOCK_ROWS = 64  # rows per block where a full n x n temporary is avoided
+# Read at call time, so tests can patch them.
+SPECTRAL_NORM_TOL = 1e-6
+SPECTRAL_NORM_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -78,18 +81,14 @@ def _eigsorted(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[order], _fix_column_signs(vectors)
 
 
-def spectral_norm(
-    M: np.ndarray,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
-) -> float:
+def spectral_norm(M: np.ndarray, rng: np.random.Generator | None = None) -> float:
     """Largest absolute eigenvalue of a symmetric matrix by power iteration.
 
     `M` must be square and symmetric; this is not checked (`embed` checks
     its input once, and the residuals built from it are symmetric).  Stops
-    when the norm estimate changes by less than `tol` relatively, or after
-    `max_iter` sweeps.  A zero matrix returns 0.
+    when the norm estimate changes by at most SPECTRAL_NORM_TOL relatively,
+    or returns the last estimate after SPECTRAL_NORM_MAX_ITER sweeps.  A
+    zero matrix returns 0.
     """
     M = np.asarray(M, dtype=float)
     if rng is None:
@@ -98,12 +97,12 @@ def spectral_norm(
     v = rng.standard_normal(n)
     v /= math.sqrt(v.dot(v))
     estimate = 0.0
-    for _ in range(max_iter):
+    for _ in range(SPECTRAL_NORM_MAX_ITER):
         w = M @ v
         new_estimate = math.sqrt(w.dot(w))  # np.linalg.norm(w), bit for bit
         if new_estimate == 0.0:
             return 0.0
-        if abs(new_estimate - estimate) <= tol * new_estimate:
+        if abs(new_estimate - estimate) <= SPECTRAL_NORM_TOL * new_estimate:
             return new_estimate
         v = w / new_estimate
         estimate = new_estimate

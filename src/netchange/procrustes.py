@@ -32,15 +32,12 @@ class AlignmentResult:
         aligned: aligned pre-shapes, one per input matrix.
         iterations: number of full alignment passes performed.
         converged: False only if the iteration cap was reached first.
-        objective_history: sum of squared distances to the mean after each
-            pass; nonincreasing.
     """
 
     mean: np.ndarray
     aligned: list[np.ndarray]
     iterations: int
     converged: bool
-    objective_history: list[float]
 
 
 @dataclass(frozen=True)
@@ -107,20 +104,17 @@ def gpa_align(matrices: list[np.ndarray]) -> AlignmentResult:
     aligned = tildes
     iterations = 0
     D = np.inf
-    history: list[float] = []
     while D > GPA_THRESHOLD and iterations < GPA_MAX_ITERATIONS:
         aligned = [Xt @ optimal_rotation(mu, Xt) for Xt in tildes]
         new_mu = np.mean(aligned, axis=0)
         D = float(np.sum((mu - new_mu) ** 2))
         mu = new_mu
         iterations += 1
-        history.append(float(sum(np.sum((A - mu) ** 2) for A in aligned)))
     return AlignmentResult(
         mean=mu,
         aligned=aligned,
         iterations=iterations,
         converged=D <= GPA_THRESHOLD,
-        objective_history=history,
     )
 
 

@@ -477,10 +477,12 @@ class TestManifest:
             (["detect", "--input", "missing.tsv"], "ingest"),
             (["evaluate", "--scenario", "merge", "--scale", "0.1", "--methods", "pca",
               "--runs", "1"], "experiment"),
+            (["simulate", "--scenario", "group-change", "--scale", "inf"], "build-scenario"),
         ],
     )
     def test_failure_in_a_stage_writes_no_manifest(self, tmp_path, capsys, argv, stage):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
-        assert f"stage '{stage}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"stage '{stage}'" in err and err.count("\n") == 1
         assert not (out / "manifest.json").exists()

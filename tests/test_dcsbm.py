@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,12 @@ class TestCatalog:
 
     def test_scale_override(self):
         assert catalog("M1", scale=1 / 3).g == (100, 100, 100)
+
+    @pytest.mark.parametrize("scale, named", [(np.inf, "inf"), (np.nan, "nan"), (1e300, "1e+300")])
+    def test_unusable_scale_rejected_by_name(self, scale, named):
+        # 1e300 vertices would overflow the block-size arrays; inf and nan cannot be rounded
+        with pytest.raises(ValueError, match=rf"scale .*{re.escape(named)}"):
+            catalog("M1", scale=scale)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
