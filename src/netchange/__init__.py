@@ -55,9 +55,6 @@ from .evaluation import (
 )
 from .graph import (
     SnapshotMatrix,
-    log_transform,
-    max_scale,
-    regularizer_tau,
     representation_matrix,
 )
 from .pipeline import (

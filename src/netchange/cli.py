@@ -17,6 +17,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -54,14 +55,14 @@ from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, Score
 # edge-list format
 
 
-def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatrix]:
+def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
     """Parse an edge-list file into one snapshot per distinct time index.
 
-    The vertex count is `n` when given, else one past the largest index
-    seen anywhere in the file.  An edge listed once is mirrored; listing
-    both orientations (or repeating a line) is accepted only when the
-    weights agree.  Lines are read into flat arrays, so the parse holds
-    about 40 bytes per line rather than a Python object per edge.
+    The vertex count is one past the largest index seen anywhere in the
+    file.  An edge listed once is mirrored; listing both orientations (or
+    repeating a line) is accepted only when the weights agree.  Lines are
+    read into flat arrays, so the parse holds about 40 bytes per line
+    rather than a Python object per edge.
     """
     path = Path(path)
     times, firsts, seconds, linenos = (array("q") for _ in range(4))
@@ -106,12 +107,12 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
         raise FormatError(f"{path.name}: no edges found")
     t, i, j = np.array(times), np.array(firsts), np.array(seconds)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    size = int(hi.max()) + 1
-    if size > MAX_VERTICES:  # the grouping key below would overflow int64
+    n = int(hi.max()) + 1
+    if n > MAX_VERTICES:  # the grouping key below would overflow int64
         at = linenos[np.argmax(hi)]
-        raise FormatError(f"{path.name}:{at}: vertex index {size - 1} exceeds {MAX_VERTICES - 1}")
+        raise FormatError(f"{path.name}:{at}: vertex index {n - 1} exceeds {MAX_VERTICES - 1}")
     # group the lines by (t, pair), each group in file order
-    order = np.lexsort((lo * size + hi, t))
+    order = np.lexsort((lo * n + hi, t))
     t, lo, hi = t[order], lo[order], hi[order]
     w, line = np.array(weights)[order], np.array(linenos)[order]
     first = np.ones(t.size, dtype=bool)
@@ -124,10 +125,6 @@ def ingest_sequence(path: str | Path, n: int | None = None) -> list[SnapshotMatr
             f"{path.name}:{line[k]}: conflicting weight for edge {(int(lo[k]), int(hi[k]))} "
             f"at t={t[k]}: {float(agreed[k])} vs {float(w[k])}"
         )
-    if n is None:
-        n = size
-    elif size > n:
-        raise FormatError(f"{path.name}: vertex index {size - 1} exceeds n={n}")
     if n < 2:
         raise FormatError(f"{path.name}: need at least 2 vertices, inferred n={n}")
 
@@ -419,6 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     stages = StageTimer()
+    made: list[Path] = []  # the directories this run creates, deepest first
     try:
         if args.config:
             file_args = []
@@ -427,10 +425,14 @@ def main(argv: list[str] | None = None) -> int:
             # file values act as defaults: explicit flags come later and win
             args = parser.parse_args([argv[0], *file_args, *argv[1:]])
         out = Path(args.out)
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         inputs, outputs, summary = args.func(args, out, stages)
         write_manifest(out, args, inputs, outputs, stages)
     except (NetchangeError, ValueError, OSError, MemoryError) as exc:
+        with contextlib.suppress(OSError):  # rmdir stops at the first non-empty one
+            for d in made:
+                d.rmdir()
         stage = stages.current or "setup"
         print(f"netchange {args.command}: stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1

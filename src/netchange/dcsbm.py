@@ -285,7 +285,6 @@ def scenario(
     change_type: str = "point",
     T: int = DEFAULT_T,
     scale: float | None = None,
-    t_star: int = DEFAULT_CHANGE_INSTANT,
 ) -> ScenarioSpec:
     """Build a catalog scenario, optionally scaled down uniformly."""
     if name not in _SCENARIO_TABLE:
@@ -300,7 +299,8 @@ def scenario(
         )
     c = f0.memberships
     changed = np.nonzero(np.isin(c, changed_blocks))[0]
-    changes = {"point": range(t_star, t_star + 1), "interval": DEFAULT_INTERVAL}
+    point = range(DEFAULT_CHANGE_INSTANT, DEFAULT_CHANGE_INSTANT + 1)
+    changes = {"point": point, "interval": DEFAULT_INTERVAL}
     if change_type not in changes:
         raise ValueError(f"unknown change type {change_type!r}")
     return ScenarioSpec(

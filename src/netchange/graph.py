@@ -116,45 +116,6 @@ class SnapshotMatrix:
         return W
 
 
-def log_transform(W: np.ndarray) -> np.ndarray:
-    """Apply the elementwise damping x -> log10(x + 1).
-
-    Compresses dominant edge weights so that a handful of heavy edges does
-    not swamp the embedding.  Zero stays zero.
-    """
-    W = np.array(W, dtype=float)
-    if np.any(W < 0):
-        raise InvalidWeight("log transform requires nonnegative entries")
-    return _log_transform_in_place(W)
-
-
-def max_scale(W: np.ndarray) -> np.ndarray:
-    """Scale a nonnegative matrix by its maximum entry onto [0, 1]."""
-    return _max_scale_in_place(np.array(W, dtype=float))
-
-
-def _log_transform_in_place(W: np.ndarray) -> np.ndarray:
-    np.add(W, 1.0, out=W)
-    return np.log10(W, out=W)
-
-
-def _max_scale_in_place(W: np.ndarray) -> np.ndarray:
-    top = W.max(initial=0.0)
-    if top <= 0.0:
-        raise EmptyGraph("matrix has no positive entries; nothing to embed")
-    return np.divide(W, top, out=W)
-
-
-def regularizer_tau(scaled_W: np.ndarray) -> float:
-    """Uniform regularizer: the mean entry of the scaled matrix, divided by 4.
-
-    For entries in [0, 1] the result lies in [0, 1/4].
-    """
-    scaled_W = np.asarray(scaled_W, dtype=float)
-    n = scaled_W.shape[0]
-    return float(scaled_W.sum() / (4.0 * n * n))
-
-
 def representation_matrix(snapshot: SnapshotMatrix) -> np.ndarray:
     """Build the read-only regularized degree-normalized representation matrix M.
 
@@ -163,14 +124,18 @@ def representation_matrix(snapshot: SnapshotMatrix) -> np.ndarray:
     is strictly positive for any nonzero snapshot, every regularized degree
     is at least n * tau and the normalization never divides by zero.
 
-    Each step runs in place, the first two through the helpers behind
-    `log_transform` and `max_scale`, so the values are theirs while at most
-    three n x n arrays are alive at once: the scaled matrix, M and a
-    transposed copy of M.
+    Each step runs in place on a fresh dense array, so at most three n x n
+    arrays are alive at once: the scaled matrix, M and a transposed copy of
+    M.  Stored weights are nonnegative, so the log needs no sign check.
     """
-    # no sign check as in `log_transform`: stored weights are nonnegative
-    scaled = _max_scale_in_place(_log_transform_in_place(snapshot._dense()))
-    tau = regularizer_tau(scaled)
+    scaled = snapshot._dense()
+    np.add(scaled, 1.0, out=scaled)
+    np.log10(scaled, out=scaled)  # log10(w + 1) damps heavy edges; zero stays zero
+    top = scaled.max(initial=0.0)
+    if top <= 0.0:
+        raise EmptyGraph("matrix has no positive entries; nothing to embed")
+    np.divide(scaled, top, out=scaled)
+    tau = float(scaled.sum() / (4.0 * snapshot.n * snapshot.n))  # mean entry / 4, in [0, 1/4]
     M = scaled + tau  # W_tau, degree-normalized in place
     inv_sqrt = 1.0 / np.sqrt(M.sum(axis=1))
     M *= inv_sqrt[:, None]

@@ -18,6 +18,7 @@ from netchange import (
     ActivityVector,
     CdpConfig,
     Embedding,
+    EmptyGraph,
     SnapshotMatrix,
     act_scores,
     actm_scores,
@@ -26,12 +27,9 @@ from netchange import (
     estimate_phi,
     gpa_align,
     log_odds,
-    log_transform,
-    max_scale,
     optimal_rotation,
     pre_shape,
     psi,
-    regularizer_tau,
     representation_matrix,
     run_experiment,
     sample_snapshot,
@@ -87,26 +85,36 @@ class Stopwatch:
 
 
 def test_criterion_1_algebra_suite():
+    def rep(W):
+        return representation_matrix(SnapshotMatrix(W=np.array(W, dtype=float), t=1))
+
+    def raises_empty_graph(W):
+        try:
+            rep(W)
+        except EmptyGraph:
+            return True
+        return False
+
     with Stopwatch() as clock:
-        snap = SnapshotMatrix(W=np.array([[0.0, 9.0], [9.0, 0.0]]), t=1)
-        M = representation_matrix(snap)
-        scaled = max_scale(log_transform(snap.W))
-        tau = regularizer_tau(scaled)
-        chain_ok = (
-            abs(tau - 0.125) < 1e-12
-            and np.abs(scaled - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
-            and np.abs(M - np.array([[0.1, 0.9], [0.9, 0.1]])).max() < 1e-12
-        )
+        # log 9 -> 1, max scaling -> 1, tau = 1/8, degrees 5/4
+        M = rep([[0.0, 9.0], [9.0, 0.0]])
+        chain_ok = np.abs(M - np.array([[0.1, 0.9], [0.9, 0.1]])).max() < 1e-12
+        # path 0 - 1 - 2: logs 1 and 2 scale to 1/2 and 1, tau = 1/12,
+        # degrees 3/4, 7/4 and 5/4
+        r15, r21, r35 = np.sqrt(15.0), np.sqrt(21.0), np.sqrt(35.0)
+        path = np.array([
+            [1 / 9, r21 / 9, 1 / (3 * r15)],
+            [r21 / 9, 1 / 21, 13 / (3 * r35)],
+            [1 / (3 * r15), 13 / (3 * r35), 1 / 15],
+        ])
         hand_ok = (
-            log_transform(np.array([[0.0, 9.0], [9.0, 0.0]]))[0, 1] == 1.0
-            and log_transform(np.array([[0.0, 99.0], [99.0, 0.0]]))[0, 1] == 2.0
-            and np.array_equal(
-                max_scale(np.array([[0.0, 4.0], [4.0, 0.0]])),
-                np.array([[0.0, 1.0], [1.0, 0.0]]),
-            )
-            and regularizer_tau(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.125
-            and regularizer_tau(np.ones((3, 3))) == 0.25
-            and regularizer_tau(np.zeros((5, 5))) == 0.0
+            np.abs(rep([[0.0, 9.0, 0.0], [9.0, 0.0, 99.0], [0.0, 99.0, 0.0]]) - path).max()
+            < 1e-12
+            # one weight of any size scales to exactly 1
+            and np.array_equal(rep([[0.0, 4.0], [4.0, 0.0]]), M)
+            # all entries equal: tau = 1/4 and M = 1/n
+            and np.abs(rep(np.ones((3, 3))) - 1.0 / 3.0).max() < 1e-12
+            and raises_empty_graph(np.zeros((5, 5)))
         )
     ok = chain_ok and hand_ok and clock.seconds < 1.0
     assert report(1, ok, f"worked chain + hand cases in {clock.seconds:.2f}s")
@@ -388,7 +396,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     same_scores = (det_a / "scores.csv").read_bytes() == (det_b / "scores.csv").read_bytes()
     same_dims = (det_a / "dims.csv").read_bytes() == (det_b / "dims.csv").read_bytes()
 
-    snaps = ingest_sequence(out_a / "sequence.tsv", n=90)
+    snaps = ingest_sequence(out_a / "sequence.tsv")
     spec = scenario("group-change", scale=0.1)
     regenerated = __import__("netchange").generate_sequence(
         spec, np.random.default_rng(123)
@@ -409,7 +417,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 def test_criterion_10_enron_smoke(tmp_path):
     with Stopwatch() as clock:
         path = os.environ["ENRON_EDGELIST"]
-        snapshots = ingest_sequence(path, n=2359)
+        snapshots = ingest_sequence(path)
         assert len(snapshots) == 28
         config = CdpConfig(zscore_threshold=5.0)
         series = score_sequence(snapshots, config, ("cdp",), (1,))[("cdp", 1)]

@@ -68,11 +68,10 @@ class TestIngest:
         with pytest.raises(FormatError, match="e.tsv:2: vertex index 4999999999 exceeds"):
             ingest_sequence(path)
 
-    def test_vertex_count_override(self, tmp_path):
-        path = write(tmp_path / "e.tsv", "1 0 1 1\n")
-        assert ingest_sequence(path, n=5)[0].n == 5
-        with pytest.raises(FormatError):
-            ingest_sequence(path, n=1)
+    def test_single_vertex_file_rejected(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "1 0 0 1\n")
+        with pytest.raises(FormatError, match="need at least 2 vertices, inferred n=1"):
+            ingest_sequence(path)
 
     def test_missing_pairs_are_zero(self, tmp_path):
         path = write(tmp_path / "e.tsv", "1 0 2 7\n")
@@ -88,7 +87,7 @@ class TestIngest:
             snaps.append(SnapshotMatrix(W=upper + upper.T, t=t))
         path = tmp_path / "seq.tsv"
         write_sequence(path, snaps)
-        back = ingest_sequence(path, n=6)
+        back = ingest_sequence(path)
         for original, parsed in zip(snaps, back):
             assert parsed.t == original.t
             assert np.array_equal(parsed.W, original.W)
@@ -107,7 +106,7 @@ class TestIngest:
         monkeypatch.setattr(SnapshotMatrix, "W", property(no_dense))
         first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_sequence(first, snaps)
-        write_sequence(second, ingest_sequence(first, n=9))
+        write_sequence(second, ingest_sequence(first))
         assert first.read_bytes() == second.read_bytes()
 
     def test_ingest_holds_edges_not_dense_snapshots(self, tmp_path):
@@ -220,8 +219,8 @@ class TestSimulateCommand:
         assert truth["n"] == 90
         assert truth["changed_vertices"] == list(range(60))
         assert truth["change_times"] == [21]
-        snaps = ingest_sequence(out / "sequence.tsv", n=90)
-        assert len(snaps) == 30
+        snaps = ingest_sequence(out / "sequence.tsv")
+        assert len(snaps) == 30 and snaps[0].n == 90
 
     def test_same_seed_byte_identical(self, tmp_path):
         args = [
@@ -486,3 +485,18 @@ class TestManifest:
         err = capsys.readouterr().err
         assert f"stage '{stage}'" in err and err.count("\n") == 1
         assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_failure_keeps_an_existing_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        write(out / "notes.txt", "kept\n")
+        assert main(["detect", "--input", "missing.tsv", "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_failure_removes_only_the_directories_it_made(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["detect", "--input", "missing.tsv", "--out", str(out)]) == 1
+        assert list((tmp_path / "a").iterdir()) == []

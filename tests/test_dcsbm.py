@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -241,8 +242,6 @@ class TestChangeValidation:
     def test_first_instant_rejected(self):
         with pytest.raises(ValueError, match="1..1 invalid"):
             self.spec(1, 1)
-        with pytest.raises(ValueError):
-            scenario("split", scale=0.1, T=5, t_star=1)
 
     def test_end_past_T_rejected(self):
         with pytest.raises(ValueError, match="4..7 invalid for T=6"):
@@ -299,7 +298,7 @@ class TestGenerateSequence:
         assert list(spec.change) == list(range(21, 31))
 
     def test_seed_determinism(self):
-        spec = scenario("split", scale=0.1, T=5, t_star=4)
+        spec = dataclasses.replace(scenario("split", scale=0.1), T=5, change=range(4, 5))
         a = generate_sequence(spec, np.random.default_rng(42))
         b = generate_sequence(spec, np.random.default_rng(42))
         for x, y in zip(a, b):

@@ -10,9 +10,6 @@ from netchange import (
     NotSymmetric,
     SnapshotMatrix,
     catalog,
-    log_transform,
-    max_scale,
-    regularizer_tau,
     representation_matrix,
     sample_snapshot,
     sample_theta,
@@ -38,7 +35,24 @@ def naive_representation(W):
         [w_tau[i][j] / math.sqrt(degrees[i] * degrees[j]) for j in range(n)]
         for i in range(n)
     ]
-    return np.array(M), tau
+    return np.array(M)
+
+
+def composed_steps(W):
+    """The preprocessing chain out of place, one step per line."""
+    n = W.shape[0]
+    logged = np.log10(W + 1.0)
+    scaled = logged / logged.max()
+    tau = float(scaled.sum() / (4.0 * n * n))
+    W_tau = scaled + tau
+    inv_sqrt = 1.0 / np.sqrt(W_tau.sum(axis=1))
+    M = inv_sqrt[:, None] * W_tau * inv_sqrt[None, :]
+    return (M + M.T) / 2.0
+
+
+def path_matrix(a, b):
+    """The 3-vertex path 0 - 1 - 2 with edge weights a and b, as a snapshot."""
+    return SnapshotMatrix(W=np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]))
 
 
 class TestSnapshotMatrix:
@@ -152,60 +166,56 @@ class TestSnapshotMatrix:
 class TestLogTransform:
     @pytest.mark.parametrize("value,expected", [(0.0, 0.0), (9.0, 1.0), (99.0, 2.0)])
     def test_hand_values(self, value, expected):
-        out = log_transform(np.full((2, 2), value))
-        assert out[0, 0] == pytest.approx(expected, abs=0)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(InvalidWeight):
-            log_transform(np.array([[0.0, -0.5], [-0.5, 0.0]]))
+        # log10(999 + 1) = 3 is the top entry, so the edge 0 - 1 scales to expected / 3
+        a = expected / 3.0
+        tau = (2.0 * a + 2.0) / 36.0  # scaled sum over 4 n^2
+        W_tau = np.array([[0.0, a, 0.0], [a, 0.0, 1.0], [0.0, 1.0, 0.0]]) + tau
+        degrees = W_tau.sum(axis=1)  # a + 3 tau, a + 1 + 3 tau, 1 + 3 tau
+        expected_M = W_tau / np.sqrt(np.outer(degrees, degrees))
+        M = representation_matrix(path_matrix(value, 999.0))
+        assert np.abs(M - expected_M).max() < 1e-15
 
     def test_preserves_symmetry(self):
         rng = np.random.default_rng(3)
-        W = random_snapshot(6, rng).W
-        out = log_transform(W)
-        assert np.array_equal(out, out.T)
+        M = representation_matrix(random_snapshot(6, rng))
+        assert np.array_equal(M, M.T)
 
 
 class TestMaxScale:
     def test_uniform_positive_scales_to_one(self):
-        out = max_scale(np.array([[0.0, 3.7], [3.7, 0.0]]))
-        assert np.array_equal(out, np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_already_scaled_unchanged(self):
-        W = np.array([[0.0, 1.0], [1.0, 0.5]])
-        assert np.array_equal(max_scale(W), W)
+        # log10(4.7) / log10(4.7) is exactly 1, as is log10(10) / log10(10)
+        M = representation_matrix(SnapshotMatrix(W=np.array([[0.0, 3.7], [3.7, 0.0]])))
+        reference = representation_matrix(SnapshotMatrix(W=np.array([[0.0, 9.0], [9.0, 0.0]])))
+        assert np.array_equal(M, reference)
 
     def test_all_zero_raises(self):
         with pytest.raises(EmptyGraph):
-            max_scale(np.zeros((3, 3)))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            W = rng.random((5, 5)) * 12.0
-            once = max_scale(W)
-            assert np.array_equal(max_scale(once), once)
+            representation_matrix(SnapshotMatrix.from_edges(3, [], [], []))
 
 
 class TestRegularizerTau:
     def test_two_vertex_case(self):
-        assert regularizer_tau(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.125
+        # scaled [[0, 1], [1, 0]], tau = 2 / 16 = 1/8, degrees 5/4
+        M = representation_matrix(SnapshotMatrix(W=np.array([[0.0, 9.0], [9.0, 0.0]])))
+        assert np.abs(M - np.array([[0.1, 0.9], [0.9, 0.1]])).max() < 1e-15
 
     def test_all_ones(self):
-        assert regularizer_tau(np.ones((7, 7))) == 0.25
-
-    def test_all_zero(self):
-        assert regularizer_tau(np.zeros((4, 4))) == 0.0
+        # every scaled entry is 1, so tau takes its largest value 1/4 and M = 1/n
+        M = representation_matrix(SnapshotMatrix(W=np.ones((7, 7))))
+        assert np.abs(M - 1.0 / 7.0).max() < 1e-15
 
 
 class TestRepresentationMatrix:
     def test_worked_chain(self):
-        snap = SnapshotMatrix(W=np.array([[0.0, 9.0], [9.0, 0.0]]))
-        M = representation_matrix(snap)
-        scaled = max_scale(log_transform(snap.W))
-        assert regularizer_tau(scaled) == pytest.approx(0.125, abs=1e-15)
-        assert np.allclose(scaled, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-        assert np.allclose(M, [[0.1, 0.9], [0.9, 0.1]], atol=1e-12)
+        # logs 1 and 2, scaled 1/2 and 1, tau = 3 / 36 = 1/12, degrees 3/4, 7/4, 5/4
+        M = representation_matrix(path_matrix(9.0, 99.0))
+        r15, r21, r35 = math.sqrt(15.0), math.sqrt(21.0), math.sqrt(35.0)
+        expected = [
+            [1 / 9, r21 / 9, 1 / (3 * r15)],
+            [r21 / 9, 1 / 21, 13 / (3 * r35)],
+            [1 / (3 * r15), 13 / (3 * r35), 1 / 15],
+        ]
+        assert np.allclose(M, expected, rtol=0, atol=1e-15)
 
     def test_uniform_weights_give_constant_matrix(self):
         snap = SnapshotMatrix(W=np.full((5, 5), 4.0))
@@ -216,23 +226,14 @@ class TestRepresentationMatrix:
         rng = np.random.default_rng(42)
         snap = random_snapshot(10, rng)
         M = representation_matrix(snap)
-        expected_M, expected_tau = naive_representation(snap.W)
-        assert regularizer_tau(max_scale(log_transform(snap.W))) == pytest.approx(
-            expected_tau, abs=1e-15
-        )
-        assert np.abs(M - expected_M).max() < 1e-12
+        assert np.abs(M - naive_representation(snap.W)).max() < 1e-12
 
     def test_bitwise_equal_to_composed_steps(self):
         # the in-place build must keep the bits of the out-of-place chain
         W = TestSnapshotMatrix.irregular_matrix()
         rng = np.random.default_rng(3)
         for snap in (SnapshotMatrix(W), random_snapshot(37, rng), random_snapshot(64, rng)):
-            scaled = max_scale(log_transform(snap.W))
-            tau = regularizer_tau(scaled)
-            W_tau = scaled + tau
-            inv_sqrt = 1.0 / np.sqrt(W_tau.sum(axis=1))
-            M = inv_sqrt[:, None] * W_tau * inv_sqrt[None, :]
-            M = (M + M.T) / 2.0
+            M = composed_steps(snap.W)
             rep = representation_matrix(snap)
             assert np.array_equal(rep.view(np.uint64), M.view(np.uint64))
             assert rep.flags.c_contiguous
@@ -272,15 +273,14 @@ class TestRepresentationMatrix:
             assert np.abs(M_perm - M[np.ix_(perm, perm)]).max() < 1e-14
 
     def test_regularized_degrees_strictly_positive(self):
+        # tau > 0 lifts every degree to at least n * tau, isolated vertices
+        # included, so every entry of M is finite and positive
         rng = np.random.default_rng(5)
         for _ in range(10):
-            snap = random_snapshot(8, rng)
-            scaled = max_scale(log_transform(snap.W))
-            tau = regularizer_tau(scaled)
-            W_tau = scaled + tau
-            degrees = W_tau.sum(axis=1)
-            assert np.all(degrees >= 8 * tau - 1e-15)
-            assert np.all(degrees > 0)
+            W = random_snapshot(8, rng).W.copy()
+            W[:, :3] = W[:3, :] = 0.0
+            M = representation_matrix(SnapshotMatrix(W))
+            assert np.all(np.isfinite(M)) and np.all(M > 0)
 
 
 class TestDegreeSummary:

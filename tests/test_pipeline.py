@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,7 @@ class TestRunCdp:
         assert changed > unchanged
 
     def test_bit_identical_reruns(self):
-        spec = scenario("split", scale=0.1, T=8, t_star=7)
+        spec = dataclasses.replace(scenario("split", scale=0.1), T=8, change=range(7, 8))
         snapshots = generate_sequence(spec, np.random.default_rng(5))
         a = cdp_series(snapshots, 3, seed=11)
         b = cdp_series(snapshots, 3, seed=11)
