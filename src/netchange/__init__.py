@@ -11,7 +11,6 @@ support controlled experiments.
 __version__ = "0.1.0"
 
 from .baselines import (
-    ActivityVector,
     act_scores,
     activity,
     actm_scores,

@@ -11,10 +11,10 @@ the sparsity/heterogeneity preprocessing of the main pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import Embedding
 from .errors import EmptyGraph, NotConverged
 from .graph import SnapshotMatrix
 # normalize_and_detect is imported for callers that rebind it here by
@@ -26,19 +26,6 @@ from .procrustes import ScoreVector
 ACTIVITY_TOL = 1e-13
 ACTIVITY_MAX_ITER = 100_000
 WINDOW_RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ActivityVector:
-    """Unit-norm eigenvector centrality of one snapshot."""
-
-    u: np.ndarray
-    t: int = 1
-
-    @property
-    def d(self) -> int:
-        """Feature dimension: one column, as recorded in `dims`."""
-        return 1
 
 
 def _mirrored_edges(snapshot: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,8 +41,8 @@ def _mirrored_edges(snapshot: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray, n
     return r[order], c[order], np.concatenate([weights, weights[off]])[order]
 
 
-def activity(snapshot: SnapshotMatrix) -> ActivityVector:
-    """Principal eigenvector of the adjacency matrix, Perron sign-fixed.
+def activity(snapshot: SnapshotMatrix) -> Embedding:
+    """Principal eigenvector of the adjacency matrix, Perron sign-fixed, as one column.
 
     Power iteration runs on W + cI with c the maximum row sum; the shift
     makes the top eigenvalue strictly dominant in magnitude (bipartite
@@ -89,12 +76,12 @@ def activity(snapshot: SnapshotMatrix) -> ActivityVector:
         )
     if v.sum() < 0:
         v = -v
-    return ActivityVector(u=v, t=snapshot.t)
+    return Embedding(X=v[:, None], t=snapshot.t)
 
 
-def _window_basis(window: list[ActivityVector]) -> tuple[np.ndarray, int]:
+def _window_basis(window: list[Embedding]) -> tuple[np.ndarray, int]:
     """Left singular vectors of the stacked window, truncated at numerical rank."""
-    A = np.column_stack([a.u for a in window])
+    A = np.hstack([a.X for a in window])
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return U[:, :0], 0
@@ -102,7 +89,7 @@ def _window_basis(window: list[ActivityVector]) -> tuple[np.ndarray, int]:
     return U[:, :rank], rank
 
 
-def act_scores(window: list[ActivityVector], current: ActivityVector) -> ScoreVector:
+def act_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
     """Entrywise gap between the window's leading direction and the current vector.
 
     For a single-member window the leading direction is that member itself,
@@ -112,19 +99,20 @@ def act_scores(window: list[ActivityVector], current: ActivityVector) -> ScoreVe
     """
     if not window:
         raise ValueError("window must contain at least one activity vector")
+    u = current.X[:, 0]
     if len(window) == 1:
-        r = window[0].u
+        r = window[0].X[:, 0]
     else:
         basis, rank = _window_basis(window)
         if rank == 0:
             raise ValueError("window of zero vectors has no leading direction")
         r = basis[:, 0]
-    if float(r @ current.u) < 0:
+    if float(r @ u) < 0:
         r = -r
-    return ScoreVector(z=np.abs(r - current.u), t=current.t)
+    return ScoreVector(z=np.abs(r - u), t=current.t)
 
 
-def actm_scores(window: list[ActivityVector], current: ActivityVector) -> ScoreVector:
+def actm_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
     """Entrywise gap between the window-subspace projection and the current vector.
 
     The projection onto the span of the window is the closest point to the
@@ -134,6 +122,7 @@ def actm_scores(window: list[ActivityVector], current: ActivityVector) -> ScoreV
     if not window:
         raise ValueError("window must contain at least one activity vector")
     basis, _rank = _window_basis(window)
-    projected = basis @ (basis.T @ current.u)
-    return ScoreVector(z=np.abs(projected - current.u), t=current.t)
+    u = current.X[:, 0]
+    projected = basis @ (basis.T @ u)
+    return ScoreVector(z=np.abs(projected - u), t=current.t)
 

@@ -57,6 +57,8 @@ class DcsbmModel:
 
     def __post_init__(self):
         g = tuple(int(x) for x in self.g)
+        if g != tuple(self.g):
+            raise ValueError(f"block sizes must be integers, got {tuple(self.g)}")
         if any(x < 1 for x in g):
             raise ValueError("every block must contain at least one vertex")
         B = np.array(self.B_planted, dtype=float)
@@ -130,46 +132,35 @@ def sample_snapshot(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.n,):
         raise ValueError(f"theta must have length {model.n}")
-    pairs = _upper_pairs(model.n)
-    return _draw(model, theta, pairs, _pair_blocks(model, pairs), rng, t)
+    if not (np.isfinite(theta).all() and (theta >= 0).all()):
+        raise ValueError("theta must be finite and nonnegative")
+    pairs = np.triu_indices(model.n, k=1)
+    return _draw(theta, pairs, _pair_psi(model, pairs), rng, t)
 
 
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major `(rows, cols)` of every vertex pair i < j."""
-    return np.triu_indices(n, k=1)
-
-
-def _pair_blocks(model: DcsbmModel, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Flat index into the k x k `psi(model)` of each pair's two blocks."""
+def _pair_psi(model: DcsbmModel, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """psi(b_i, b_j) of each row-major pair i < j."""
     c = model.memberships
-    return c[pairs[0]] * model.k + c[pairs[1]]
+    return psi(model)[c[pairs[0]], c[pairs[1]]]
 
 
-def _pair_means(
-    model: DcsbmModel, theta: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], blocks: np.ndarray
-) -> np.ndarray:
-    """Poisson mean of each pair.
+def _draw(
+    theta: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray],
+    pair_psi: np.ndarray,
+    rng: np.random.Generator,
+    t: int,
+) -> SnapshotMatrix:
+    """One Poisson draw per pair; only the nonzero draws become edges.
 
     theta_i * theta_j is formed first and then scaled by psi, the order of
     `np.outer(theta, theta) * psi(model)[np.ix_(c, c)]`, so every mean (and
     with it every draw of a given random stream) is that of the dense form.
     """
-    return theta[pairs[0]] * theta[pairs[1]] * psi(model).ravel()[blocks]
-
-
-def _draw(
-    model: DcsbmModel,
-    theta: np.ndarray,
-    pairs: tuple[np.ndarray, np.ndarray],
-    blocks: np.ndarray,
-    rng: np.random.Generator,
-    t: int,
-) -> SnapshotMatrix:
-    """One Poisson draw per pair; only the nonzero draws become edges."""
-    counts = rng.poisson(_pair_means(model, theta, pairs, blocks))
+    counts = rng.poisson(theta[pairs[0]] * theta[pairs[1]] * pair_psi)
     hit = np.flatnonzero(counts)
     return SnapshotMatrix.from_edges(
-        model.n, pairs[0][hit], pairs[1][hit], counts[hit].astype(float), t
+        theta.size, pairs[0][hit], pairs[1][hit], counts[hit].astype(float), t
     )
 
 
@@ -262,7 +253,12 @@ class ScenarioSpec:
         change = self.change
         if not (change.step == 1 and 1 < change.start < change.stop <= self.T + 1):
             raise ValueError(f"change {change.start}..{change.stop - 1} invalid for T={self.T}")
-        cv = np.array(sorted(int(v) for v in np.asarray(self.changed_vertices)))
+        cv = np.asarray(self.changed_vertices)
+        if cv.ndim != 1 or (cv.size and not np.issubdtype(cv.dtype, np.integer)):
+            raise ValueError(f"changed vertices must be a 1-d integer index array, got {cv.dtype}")
+        cv = np.sort(cv.astype(np.int64))
+        if np.any(cv[1:] == cv[:-1]):
+            raise ValueError("changed vertices must be distinct; an index is repeated")
         if cv.size == 0 or cv.size >= self.f0.n or cv[0] < 0 or cv[-1] >= self.f0.n:
             raise ValueError("changed vertices must be a proper nonempty subset")
         cv.flags.writeable = False
@@ -313,15 +309,15 @@ def generate_sequence(spec: ScenarioSpec, rng: np.random.Generator) -> list[Snap
 
     Degree propensities are redrawn independently at every instant, since
     consecutive snapshots are independent samples from the active model.
-    The vertex-pair list is built once per sequence and each model's pair
-    block index once, not once per instant.
+    The vertex-pair list is built once per sequence and each model's psi
+    per pair once, not once per instant.
     """
-    pairs = _upper_pairs(spec.n)
+    pairs = np.triu_indices(spec.n, k=1)
     models = (spec.f0, spec.f1)
-    blocks = [_pair_blocks(model, pairs) for model in models]
+    pair_psi = [_pair_psi(model, pairs) for model in models]
     snapshots = []
     for t in range(1, spec.T + 1):
         changed = int(t in spec.change)
         theta = sample_theta(models[changed], rng)
-        snapshots.append(_draw(models[changed], theta, pairs, blocks[changed], rng, t))
+        snapshots.append(_draw(theta, pairs, pair_psi[changed], rng, t))
     return snapshots

@@ -72,6 +72,8 @@ class SnapshotMatrix:
             raise ValueError("vertex indices must be integers")
         rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
         weights = np.asarray(weights, dtype=float)
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"the vertex count n must be an integer, got {n!r}")
         if not 2 <= n <= MAX_VERTICES:
             raise ValueError(f"a snapshot needs 2 to {MAX_VERTICES} vertices, got n={n}")
         if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:

@@ -16,7 +16,6 @@ import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -113,15 +112,15 @@ def cdp_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
 
 def sweep(
     snapshots: list[SnapshotMatrix],
-    extract: Callable[[SnapshotMatrix], Any],
-    scorers: dict[str, Callable[[list, Any], ScoreVector]],
+    extract: Callable[[SnapshotMatrix], Embedding],
+    scorers: dict[str, Callable[[list[Embedding], Embedding], ScoreVector]],
     windows: tuple[int, ...],
     threshold: float = DEFAULT_ZSCORE_THRESHOLD,
 ) -> dict[tuple[str, int], ScoreSeries]:
     """Score a sequence under every method and window that share one feature.
 
-    `extract` runs once per snapshot and returns its feature (anything with
-    a dimension `d`, such as an Embedding); only the last max(windows)
+    `extract` runs once per snapshot and returns its feature, an Embedding
+    (an activity vector is a one-column one); only the last max(windows)
     features are kept.  At every instant with at least w earlier features,
     each scorer compares the current feature with the w before it, and the
     score is normalized.  Returns one series per (method, window); every

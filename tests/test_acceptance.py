@@ -15,7 +15,6 @@ import pytest
 
 import netchange.procrustes as procrustes
 from netchange import (
-    ActivityVector,
     CdpConfig,
     Embedding,
     EmptyGraph,
@@ -315,8 +314,8 @@ def test_criterion_7_baseline_contracts():
     with Stopwatch() as clock:
         u = rng.random(12)
         u /= np.linalg.norm(u)
-        window = [ActivityVector(u=u.copy(), t=t) for t in range(1, 4)]
-        current = ActivityVector(u=u.copy(), t=4)
+        window = [Embedding(X=u.copy()[:, None], t=t) for t in range(1, 4)]
+        current = Embedding(X=u.copy()[:, None], t=4)
         zero_ok = (
             act_scores(window, current).z.max() < 1e-10
             and actm_scores(window, current).z.max() < 1e-10
@@ -325,22 +324,22 @@ def test_criterion_7_baseline_contracts():
         vecs = []
         for t in range(1, 4):
             v = rng.random(12)
-            vecs.append(ActivityVector(u=v / np.linalg.norm(v), t=t))
+            vecs.append(Embedding(X=(v / np.linalg.norm(v))[:, None], t=t))
         w = rng.random(12)
-        target = ActivityVector(u=w / np.linalg.norm(w), t=4)
-        A = np.column_stack([v.u for v in vecs])
+        target = Embedding(X=(w / np.linalg.norm(w))[:, None], t=4)
+        A = np.column_stack([v.X[:, 0] for v in vecs])
         U, s, _ = np.linalg.svd(A, full_matrices=False)
         basis = U[:, s > 1e-12 * s[0]]
-        residual = np.linalg.norm(target.u - basis @ (basis.T @ target.u))
+        residual = np.linalg.norm(target.X[:, 0] - basis @ (basis.T @ target.X[:, 0]))
         coeffs = rng.standard_normal((1000, basis.shape[1]))
-        distances = np.linalg.norm(target.u - coeffs @ basis.T, axis=1)
+        distances = np.linalg.norm(target.X[:, 0] - coeffs @ basis.T, axis=1)
         optimal_ok = bool(np.all(residual <= distances + 1e-8))
 
         a = rng.random(10)
         b = rng.random(10)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        w1 = act_scores([ActivityVector(u=a, t=1)], ActivityVector(u=b, t=2)).z
+        w1 = act_scores([Embedding(X=a[:, None], t=1)], Embedding(X=b[:, None], t=2)).z
         exact_ok = np.array_equal(w1, np.abs(a - b))
     ok = zero_ok and optimal_ok and exact_ok and clock.seconds < 10.0
     assert report(

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from netchange import (
-    ActivityVector,
     CdpConfig,
+    Embedding,
     EmptyGraph,
     NotConverged,
     SnapshotMatrix,
@@ -51,6 +51,11 @@ def dense_activity(snapshot):
     return v
 
 
+def column(u, t):
+    """An activity vector: a one-column Embedding."""
+    return Embedding(X=np.asarray(u, dtype=float)[:, None], t=t)
+
+
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
@@ -62,16 +67,16 @@ class TestActivity:
         W = np.zeros((n, n))
         W[0, 1:] = 1.0
         W[1:, 0] = 1.0
-        u = activity(SnapshotMatrix(W=W)).u
+        u = activity(SnapshotMatrix(W=W)).X[:, 0]
         assert int(np.argmax(u)) == 0
 
     def test_single_edge_pair(self):
-        u = activity(SnapshotMatrix(W=np.array([[0.0, 1.0], [1.0, 0.0]]))).u
+        u = activity(SnapshotMatrix(W=np.array([[0.0, 1.0], [1.0, 0.0]]))).X[:, 0]
         assert np.allclose(u, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-10)
 
     def test_matches_dense_eigensolver(self):
         snap = random_graph(20, seed=31)
-        u = activity(snap).u
+        u = activity(snap).X[:, 0]
         evals, evecs = np.linalg.eigh(snap.W)
         expected = evecs[:, -1]
         if expected.sum() < 0:
@@ -80,9 +85,14 @@ class TestActivity:
 
     def test_unit_norm_and_nonnegative(self):
         for seed in range(5):
-            u = activity(random_graph(15, seed=seed)).u
+            u = activity(random_graph(15, seed=seed)).X[:, 0]
             assert abs(np.linalg.norm(u) - 1.0) < 1e-10
             assert u.min() >= -1e-10
+
+    def test_returns_one_column_embedding(self):
+        feature = activity(random_graph(10, seed=1, t=3))
+        assert isinstance(feature, Embedding)
+        assert feature.X.shape == (10, 1) and feature.d == 1 and feature.t == 3
 
     def test_zero_matrix_raises(self):
         with pytest.raises(EmptyGraph):
@@ -95,12 +105,12 @@ class TestActivity:
             raise AssertionError("dense W built")
 
         monkeypatch.setattr(SnapshotMatrix, "W", property(no_dense))
-        assert abs(np.linalg.norm(activity(snap).u) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(activity(snap).X[:, 0]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_power_iteration(self, seed):
         snap, _ = sparse_graph(60, seed=seed)
-        assert np.abs(activity(snap).u - dense_activity(snap)).max() <= 1e-12
+        assert np.abs(activity(snap).X[:, 0] - dense_activity(snap)).max() <= 1e-12
 
     def test_self_loop_counts_once_in_shift(self):
         # the loop sets the largest row sum, so counting it twice would
@@ -109,11 +119,11 @@ class TestActivity:
         # round alike whatever order or fused multiply-add BLAS uses
         W = np.array([[4.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
         snap = SnapshotMatrix(W=W)
-        assert np.array_equal(activity(snap).u, dense_activity(snap))
+        assert np.array_equal(activity(snap).X[:, 0], dense_activity(snap))
 
     def test_isolated_vertices_tie_exactly(self):
         snap, isolated = sparse_graph(60, seed=3)
-        u = activity(snap).u
+        u = activity(snap).X[:, 0]
         assert np.unique(u[isolated]).size == 1
 
     def test_non_convergence_names_instant(self, monkeypatch):
@@ -124,26 +134,26 @@ class TestActivity:
 
 class TestActScores:
     def test_constant_window_scores_zero(self):
-        u = activity(random_graph(10, seed=2)).u
-        window = [ActivityVector(u=u.copy(), t=t) for t in range(1, 4)]
-        z = act_scores(window, ActivityVector(u=u.copy(), t=4)).z
+        u = activity(random_graph(10, seed=2)).X[:, 0]
+        window = [column(u.copy(), t=t) for t in range(1, 4)]
+        z = act_scores(window, column(u.copy(), t=4)).z
         assert z.max() < 1e-10
 
     def test_w1_is_exact_entrywise_gap(self):
         a = activity(random_graph(12, seed=3, t=1))
         b = activity(random_graph(12, seed=4, t=2))
         z = act_scores([a], b).z
-        assert np.array_equal(z, np.abs(a.u - b.u))
+        assert np.array_equal(z, np.abs(a.X[:, 0] - b.X[:, 0]))
 
     def test_matches_direct_svd_oracle(self):
         vectors = [activity(random_graph(14, seed=s, t=s + 1)) for s in range(3)]
         current = activity(random_graph(14, seed=9, t=4))
-        A = np.column_stack([v.u for v in vectors])
+        A = np.column_stack([v.X[:, 0] for v in vectors])
         U, _, _ = np.linalg.svd(A, full_matrices=False)
         r = U[:, 0]
-        if r @ current.u < 0:
+        if r @ current.X[:, 0] < 0:
             r = -r
-        expected = np.abs(r - current.u)
+        expected = np.abs(r - current.X[:, 0])
         z = act_scores(vectors, current).z
         assert np.abs(z - expected).max() < 1e-8
 
@@ -153,53 +163,53 @@ class TestActmScores:
         rng = np.random.default_rng(6)
         a = unit(rng.random(10))
         b = unit(rng.random(10))
-        window = [ActivityVector(u=a, t=1), ActivityVector(u=b, t=2)]
+        window = [column(a, t=1), column(b, t=2)]
         mix = unit(0.3 * a + 0.7 * b)
-        z = actm_scores(window, ActivityVector(u=mix, t=3)).z
+        z = actm_scores(window, column(mix, t=3)).z
         assert z.max() < 1e-8
 
     def test_w1_identical_scores_zero(self):
-        u = activity(random_graph(9, seed=8)).u
-        z = actm_scores([ActivityVector(u=u, t=1)], ActivityVector(u=u.copy(), t=2)).z
+        u = activity(random_graph(9, seed=8)).X[:, 0]
+        z = actm_scores([column(u, t=1)], column(u.copy(), t=2)).z
         assert z.max() < 1e-10
 
     def test_orthogonal_current_keeps_magnitudes(self):
         e1 = np.zeros(6)
         e1[0] = 1.0
-        window = [ActivityVector(u=e1, t=1)]
+        window = [column(e1, t=1)]
         current = np.zeros(6)
         current[3] = 1.0
-        z = actm_scores(window, ActivityVector(u=current, t=2)).z
+        z = actm_scores(window, column(current, t=2)).z
         assert np.allclose(z, np.abs(current), atol=1e-12)
 
     def test_projection_beats_random_span_elements(self):
         rng = np.random.default_rng(12)
-        window = [ActivityVector(u=unit(rng.random(12)), t=t) for t in range(1, 4)]
-        current = ActivityVector(u=unit(rng.random(12)), t=4)
-        A = np.column_stack([v.u for v in window])
+        window = [column(unit(rng.random(12)), t=t) for t in range(1, 4)]
+        current = column(unit(rng.random(12)), t=4)
+        A = np.column_stack([v.X[:, 0] for v in window])
         U, s, _ = np.linalg.svd(A, full_matrices=False)
         basis = U[:, s > 1e-12 * s[0]]
-        projected = basis @ (basis.T @ current.u)
-        residual = np.linalg.norm(current.u - projected)
+        projected = basis @ (basis.T @ current.X[:, 0])
+        residual = np.linalg.norm(current.X[:, 0] - projected)
         coeffs = rng.standard_normal((1000, basis.shape[1]))
         candidates = coeffs @ basis.T
-        distances = np.linalg.norm(current.u - candidates, axis=1)
+        distances = np.linalg.norm(current.X[:, 0] - candidates, axis=1)
         assert np.all(residual <= distances + 1e-8)
 
     def test_error_orthogonal_to_basis(self):
         rng = np.random.default_rng(13)
-        window = [ActivityVector(u=unit(rng.random(9)), t=t) for t in range(1, 5)]
-        current = ActivityVector(u=unit(rng.random(9)), t=5)
-        A = np.column_stack([v.u for v in window])
+        window = [column(unit(rng.random(9)), t=t) for t in range(1, 5)]
+        current = column(unit(rng.random(9)), t=5)
+        A = np.column_stack([v.X[:, 0] for v in window])
         U, s, _ = np.linalg.svd(A, full_matrices=False)
         basis = U[:, s > 1e-12 * s[0]]
-        error = basis @ (basis.T @ current.u) - current.u
+        error = basis @ (basis.T @ current.X[:, 0]) - current.X[:, 0]
         assert np.abs(basis.T @ error).max() < 1e-8
 
     def test_act_and_actm_agree_for_w1_identical(self):
-        u = activity(random_graph(11, seed=14)).u
-        window = [ActivityVector(u=u, t=1)]
-        current = ActivityVector(u=u.copy(), t=2)
+        u = activity(random_graph(11, seed=14)).X[:, 0]
+        window = [column(u, t=1)]
+        current = column(u.copy(), t=2)
         assert act_scores(window, current).z.max() < 1e-10
         assert actm_scores(window, current).z.max() < 1e-10
 

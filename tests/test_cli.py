@@ -254,7 +254,7 @@ class TestDetectCommand:
              "--window", "1", "--out", str(out)]
         )
         assert code == 0
-        expected = np.abs(activity(snaps[0]).u - activity(snaps[1]).u)
+        expected = np.abs(activity(snaps[0]).X[:, 0] - activity(snaps[1]).X[:, 0])
         lines = (out / "scores.csv").read_text().splitlines()
         assert lines[0] == "t,vertex,z,zscore,detected"
         rows = [line.split(",") for line in lines[1:]]

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ def dense_means(model, theta):
     """Reference: the n x n Poisson means of the dense sampler."""
     c = model.memberships
     return np.outer(theta, theta) * psi(model)[np.ix_(c, c)]
+
+
+class RecordingRng:
+    """A generator that keeps every Poisson mean array it draws from."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.means = []
+
+    def poisson(self, lam):
+        self.means.append(lam)
+        return self.rng.poisson(lam)
 
 
 def dense_sample_snapshot(model, theta, rng, t=1):
@@ -156,6 +169,17 @@ class TestSampleSnapshot:
         assert np.all(gaps <= 4.0 * sigma + 1e-12)
 
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_theta_must_be_finite_and_nonnegative(self, bad):
+        model = toy_model()
+        with pytest.raises(ValueError, match="theta must be finite and nonnegative"):
+            sample_snapshot(model, np.full(model.n, bad), np.random.default_rng(0))
+
+    def test_non_integral_block_size_rejected(self):
+        with pytest.raises(ValueError, match=r"block sizes must be integers, got \(2\.5, 3\)"):
+            DcsbmModel(g=(2.5, 3), B_planted=np.eye(2), nu=0.1, lam=0.5, constant_theta=())
+
+
 class TestCatalog:
     def test_m1_shape(self):
         model = catalog("M1")
@@ -260,6 +284,29 @@ class TestChangeValidation:
         assert [t for t in range(1, 7) if t in spec.change] == [6]
 
 
+class TestChangedVertexValidation:
+    def spec(self, changed):
+        model = catalog("M1", scale=0.1)
+        return ScenarioSpec(
+            name="null", f0=model, f1=model, change=range(3, 4), T=6, changed_vertices=changed
+        )
+
+    def test_distinct_indices_kept_sorted(self):
+        assert self.spec([3, 1, 2]).changed_vertices.tolist() == [1, 2, 3]
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="an index is repeated"):
+            self.spec([0, 0, 1])
+
+    def test_non_integer_vertices_rejected(self):
+        with pytest.raises(ValueError, match="integer index array, got float64"):
+            self.spec([0.7, 1.2])
+
+    def test_one_vertex_repeated_n_times_is_repeated_not_improper(self):
+        with pytest.raises(ValueError, match="an index is repeated"):
+            self.spec([0] * catalog("M1", scale=0.1).n)
+
+
 class TestGenerateSequence:
     def test_point_change_isolated_to_t_star(self):
         # silent baseline vs a model that must emit edges: activity localves
@@ -330,8 +377,9 @@ class TestPairListDraw:
     def test_means_equal_dense_bit_for_bit(self, name):
         model = catalog(name, scale=0.1)
         theta = sample_theta(model, np.random.default_rng(5))
-        pairs = dcsbm._upper_pairs(model.n)
-        means = dcsbm._pair_means(model, theta, pairs, dcsbm._pair_blocks(model, pairs))
+        recorder = RecordingRng(0)
+        sample_snapshot(model, theta, recorder)
+        (means,) = recorder.means
         dense = dense_means(model, theta)[np.triu_indices(model.n, k=1)]
         assert means.tobytes() == dense.tobytes()
 
@@ -363,14 +411,37 @@ class TestPairListDraw:
             assert_same_edges(snap, dense_sample_snapshot(model, sample_theta(model, rng), rng, t))
 
     def test_pair_list_built_once_per_sequence(self, monkeypatch):
-        calls = []
-        upper_pairs = dcsbm._upper_pairs
+        triu_calls, psi_calls = [], []
+        triu_indices, pair_psi = np.triu_indices, dcsbm._pair_psi
 
-        def counted(n):
-            calls.append(n)
-            return upper_pairs(n)
+        def counted_triu(*args, **kwargs):
+            triu_calls.append(args)
+            return triu_indices(*args, **kwargs)
 
-        monkeypatch.setattr(dcsbm, "_upper_pairs", counted)
+        def counted_psi(model, pairs):
+            psi_calls.append(model.name)
+            return pair_psi(model, pairs)
+
         spec = scenario("group-change", T=30, scale=0.1)
+        monkeypatch.setattr(np, "triu_indices", counted_triu)
+        monkeypatch.setattr(dcsbm, "_pair_psi", counted_psi)
         assert len(generate_sequence(spec, np.random.default_rng(0))) == 30
-        assert calls == [spec.n]
+        assert triu_calls == [(spec.n,)]
+        assert psi_calls == ["M1", "M4"]
+
+    def test_generation_peak_under_six_and_a_half_pair_arrays(self):
+        # both models drawn at n=600; holding one instant's Poisson counts
+        # into the next instant's means reads about 7 pair arrays
+        spec = dataclasses.replace(
+            scenario("group-change", scale=2 / 3), T=3, change=range(3, 4)
+        )
+        pair_array = spec.n * (spec.n - 1) // 2 * 8
+        # a first draw imports modules lazily (about 0.7 MiB, half a pair array)
+        generate_sequence(scenario("group-change", scale=0.1), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            generate_sequence(spec, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * pair_array
