@@ -18,7 +18,6 @@ from .baselines import (
 from .dcsbm import (
     DcsbmModel,
     ScenarioSpec,
-    block_matrix,
     catalog,
     generate_sequence,
     psi,

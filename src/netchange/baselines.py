@@ -42,7 +42,7 @@ def _mirrored_edges(snapshot: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray, n
 
 
 def activity(snapshot: SnapshotMatrix) -> Embedding:
-    """Principal eigenvector of the adjacency matrix, Perron sign-fixed, as one column.
+    """Principal eigenvector of the adjacency matrix, nonnegative, as one column.
 
     Power iteration runs on W + cI with c the maximum row sum; the shift
     makes the top eigenvalue strictly dominant in magnitude (bipartite
@@ -74,8 +74,6 @@ def activity(snapshot: SnapshotMatrix) -> Embedding:
             f"activity power iteration at t={snapshot.t} did not converge "
             f"in {ACTIVITY_MAX_ITER} steps"
         )
-    if v.sum() < 0:
-        v = -v
     return Embedding(X=v[:, None], t=snapshot.t)
 
 

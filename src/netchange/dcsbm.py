@@ -1,14 +1,16 @@
 """Degree-corrected block-model sampling and change-scenario sequences.
 
 Edge weights between distinct vertices are independent Poisson draws with
-mean theta_i * theta_j * psi(block_i, block_j), where psi scales a block
-probability matrix by the block sizes and the theta vector carries
+mean theta_i * theta_j * psi(block_i, block_j), where psi scales the block
+probability matrix B by the block sizes and the theta vector carries
 per-vertex degree propensities (drawn from the catalog power law, or equal
 in the model's constant-theta blocks, normalized to sum to one inside each
-block).  A scenario pairs a baseline model with a changed model, the
-`range` of changed instants (one instant for a point change) and the
-changed vertex set; that scenario is the ground truth of every snapshot
-sequence sampled from it.
+block).  A model is its block sizes g, its k x k block probability matrix
+B and its constant-theta blocks; every catalog model mixes its planted
+matrix P with a uniform background, B = 0.8 P + 0.2 * 0.0025.  A scenario
+pairs a baseline model with a changed model, the `range` of changed
+instants (one instant for a point change) and the changed vertex set; that
+scenario is the ground truth of every snapshot sequence sampled from it.
 """
 
 from __future__ import annotations
@@ -40,18 +42,14 @@ class DcsbmModel:
 
     Attributes:
         g: block sizes; vertices are assigned contiguously (block 0 first).
-        B_planted: k x k planted block probability matrix.
-        nu: background (inter-block) probability of the random component.
-        lam: mixing weight between planted and random components.
+        B: k x k symmetric block probability matrix, every entry in [0, 1].
         constant_theta: blocks whose degree propensities are equal; every
             other block draws the catalog power law.
         name: optional catalog label.
     """
 
     g: tuple[int, ...]
-    B_planted: np.ndarray
-    nu: float
-    lam: float
+    B: np.ndarray
     constant_theta: tuple[int, ...]
     name: str = ""
 
@@ -61,20 +59,20 @@ class DcsbmModel:
             raise ValueError(f"block sizes must be integers, got {tuple(self.g)}")
         if any(x < 1 for x in g):
             raise ValueError("every block must contain at least one vertex")
-        B = np.array(self.B_planted, dtype=float)
+        B = np.array(self.B, dtype=float)
         B.flags.writeable = False
         k = len(g)
         if B.shape != (k, k):
-            raise ValueError(f"planted matrix must be {k}x{k}, got {B.shape}")
+            raise ValueError(f"block matrix must be {k}x{k}, got {B.shape}")
+        if not ((B >= 0.0) & (B <= 1.0)).all():  # NaN fails both comparisons
+            raise InvalidProbability("block matrix entries must lie in [0, 1]")
         if not np.array_equal(B, B.T):
-            raise ValueError("planted block matrix must be symmetric")
+            raise ValueError("block matrix must be symmetric")
         constant = tuple(int(b) for b in self.constant_theta)
         if any(not 0 <= b < k for b in constant):
             raise ValueError(f"constant-theta blocks must lie in 0..{k - 1}, got {constant}")
-        if not 0.0 <= self.nu <= 1.0 or not 0.0 <= self.lam <= 1.0:
-            raise InvalidProbability("nu and lambda must lie in [0, 1]")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "B_planted", B)
+        object.__setattr__(self, "B", B)
         object.__setattr__(self, "constant_theta", constant)
 
     @property
@@ -111,18 +109,10 @@ def sample_theta(model: DcsbmModel, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
-def block_matrix(model: DcsbmModel) -> np.ndarray:
-    """Mix the planted structure with the uniform background component."""
-    B = model.lam * model.B_planted + (1.0 - model.lam) * model.nu
-    if np.any(B < 0.0) or np.any(B > 1.0):
-        raise InvalidProbability("mixed block matrix has entries outside [0, 1]")
-    return B
-
-
 def psi(model: DcsbmModel) -> np.ndarray:
     """Expected edge counts between blocks: B scaled by both block sizes."""
     g = np.asarray(model.g, dtype=float)
-    return block_matrix(model) * np.outer(g, g)
+    return model.B * np.outer(g, g)
 
 
 def sample_snapshot(
@@ -197,21 +187,22 @@ _CATALOG = {
 def catalog(name: str, scale: float | None = None) -> DcsbmModel:
     """Named model from the simulation catalog (M1..M6).
 
-    All catalog models share lambda, nu, the power-law theta parameters and
-    the planted probabilities alpha/beta/gamma; they differ in block count,
-    block sizes, planted layout, and (for M5) a constant-theta first block.
-    `scale` multiplies every block size uniformly.
+    Every catalog model mixes its planted matrix with the same uniform
+    background, B = CATALOG_LAMBDA * planted + (1 - CATALOG_LAMBDA) * CATALOG_NU,
+    and shares the power-law theta parameters and the planted probabilities
+    alpha/beta/gamma; the models differ in block count, block sizes, planted
+    layout, and (for M5) a constant-theta first block.  `scale` multiplies
+    every block size uniformly.
     """
     key = name.upper()
     if key not in _CATALOG:
         raise ValueError(f"unknown model {name!r}; expected M1..M6")
     sizes, planted, constant = _CATALOG[key]
     planted = np.asarray(planted, dtype=float)
+    planted = np.diag(planted) if planted.ndim == 1 else planted
     return DcsbmModel(
         g=_scaled_sizes(sizes, scale),
-        B_planted=np.diag(planted) if planted.ndim == 1 else planted,
-        nu=CATALOG_NU,
-        lam=CATALOG_LAMBDA,
+        B=CATALOG_LAMBDA * planted + (1.0 - CATALOG_LAMBDA) * CATALOG_NU,
         constant_theta=constant,
         name=key,
     )

@@ -237,7 +237,6 @@ def run_experiment(
                         "p_value": p,
                     }
                 )
-            total = eta_a.size
             for relation, count in (
                 ("greater", int(np.count_nonzero(eta_a > eta_b))),
                 ("less", int(np.count_nonzero(eta_a < eta_b))),
@@ -249,7 +248,7 @@ def run_experiment(
                         "window": w,
                         "comparison": f"{a}_vs_{b}",
                         "relation": relation,
-                        "proportion": count / total if total else float("nan"),
+                        "proportion": count / eta_a.size,
                     }
                 )
 

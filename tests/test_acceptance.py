@@ -218,9 +218,7 @@ def test_criterion_5_dcsbm_sampler():
     with Stopwatch() as clock:
         model = DcsbmModel(
             g=(10, 12, 8),
-            B_planted=np.diag([0.4, 0.5, 0.6]),
-            nu=0.05,
-            lam=0.7,
+            B=0.7 * np.diag([0.4, 0.5, 0.6]) + (1.0 - 0.7) * 0.05,
             constant_theta=(2,),
         )
         rng = np.random.default_rng(505)

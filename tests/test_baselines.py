@@ -33,6 +33,15 @@ def sparse_graph(n, seed, t=1):
     return SnapshotMatrix(W=upper + np.triu(upper, 1).T, t=t), np.sort(isolated)
 
 
+def bipartite_graph(left, right, seed):
+    """Weighted graph whose edges all join the first `left` vertices to the rest."""
+    rng = np.random.default_rng(seed)
+    n = left + right
+    W = np.zeros((n, n))
+    W[:left, left:] = (rng.random((left, right)) < 0.5) * rng.uniform(0.5, 2.0, (left, right))
+    return SnapshotMatrix(W=W + W.T)
+
+
 def dense_activity(snapshot):
     """Reference: the power iteration with a dense W @ v per step."""
     W = snapshot.W
@@ -88,6 +97,17 @@ class TestActivity:
             u = activity(random_graph(15, seed=seed)).X[:, 0]
             assert abs(np.linalg.norm(u) - 1.0) < 1e-10
             assert u.min() >= -1e-10
+
+    @pytest.mark.parametrize("shape", ["isolated", "bipartite"])
+    def test_column_is_entrywise_nonnegative_unit_vector(self, shape):
+        # no sign cleanup runs: the positive start, W >= 0 and the shift keep every iterate >= 0
+        if shape == "isolated":
+            snap, _ = sparse_graph(40, seed=2)
+        else:
+            snap = bipartite_graph(5, 7, seed=8)
+        u = activity(snap).X[:, 0]
+        assert u.min() >= 0.0
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 
     def test_returns_one_column_embedding(self):
         feature = activity(random_graph(10, seed=1, t=3))

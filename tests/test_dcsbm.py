@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import tracemalloc
 
@@ -9,7 +10,6 @@ from netchange import (
     DcsbmModel,
     InvalidProbability,
     SnapshotMatrix,
-    block_matrix,
     catalog,
     generate_sequence,
     psi,
@@ -24,9 +24,7 @@ from netchange.dcsbm import SCENARIO_NAMES, ScenarioSpec, sample_power_law
 def toy_model():
     return DcsbmModel(
         g=(10, 12, 8),
-        B_planted=np.diag([0.4, 0.5, 0.6]),
-        nu=0.05,
-        lam=0.7,
+        B=0.7 * np.diag([0.4, 0.5, 0.6]) + (1.0 - 0.7) * 0.05,
         constant_theta=(2,),
     )
 
@@ -96,7 +94,7 @@ class TestSampleTheta:
     def test_constant_block_outside_model_rejected(self, block):
         model = toy_model()
         with pytest.raises(ValueError, match=r"constant-theta blocks must lie in 0\.\.2"):
-            DcsbmModel(model.g, model.B_planted, model.nu, model.lam, (block,))
+            DcsbmModel(model.g, model.B, (block,))
 
     def test_power_law_ccdf_slope(self):
         draws = sample_power_law(100_000, np.random.default_rng(7))
@@ -105,28 +103,24 @@ class TestSampleTheta:
 
 class TestBlockMatrix:
     def test_catalog_m1_values(self):
-        B = block_matrix(catalog("M1"))
+        B = catalog("M1").B
         assert B[0, 0] == pytest.approx(0.8 * 0.01 + 0.2 * 0.0025, abs=1e-15)
         assert B[0, 1] == pytest.approx(0.0005, abs=1e-15)
-        assert np.array_equal(B, B.T)
+        mixture = 0.8 * np.diag([0.01, 0.02, 0.03]) + (1.0 - 0.8) * 0.0025
+        assert B.tobytes() == mixture.tobytes()
 
-    def test_lambda_extremes(self):
-        model = toy_model()
-        zero = DcsbmModel(model.g, model.B_planted, model.nu, 0.0, model.constant_theta)
-        one = DcsbmModel(model.g, model.B_planted, model.nu, 1.0, model.constant_theta)
-        assert np.allclose(block_matrix(zero), model.nu, atol=0)
-        assert np.array_equal(block_matrix(one), model.B_planted)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_invalid_probability_rejected_at_construction(self, bad):
+        with pytest.raises(InvalidProbability, match=r"must lie in \[0, 1\]"):
+            DcsbmModel(g=(4, 4), B=np.diag([bad, 0.5]), constant_theta=(0, 1))
 
-    def test_invalid_probability_rejected(self):
-        bad = DcsbmModel(
-            g=(4, 4),
-            B_planted=np.diag([1.0, 1.0]) * 1.5,
-            nu=0.5,
-            lam=1.0,
-            constant_theta=(0, 1),
-        )
-        with pytest.raises(InvalidProbability):
-            block_matrix(bad)
+    def test_asymmetric_matrix_rejected(self):
+        with pytest.raises(ValueError, match="block matrix must be symmetric"):
+            DcsbmModel(g=(4, 4), B=[[0.1, 0.2], [0.3, 0.1]], constant_theta=())
+
+    def test_matrix_shape_must_match_blocks(self):
+        with pytest.raises(ValueError, match=r"block matrix must be 2x2, got \(3, 3\)"):
+            DcsbmModel(g=(4, 4), B=np.eye(3), constant_theta=())
 
 
 class TestPsi:
@@ -177,7 +171,7 @@ class TestSampleSnapshot:
 
     def test_non_integral_block_size_rejected(self):
         with pytest.raises(ValueError, match=r"block sizes must be integers, got \(2\.5, 3\)"):
-            DcsbmModel(g=(2.5, 3), B_planted=np.eye(2), nu=0.1, lam=0.5, constant_theta=())
+            DcsbmModel(g=(2.5, 3), B=np.eye(2), constant_theta=())
 
 
 class TestCatalog:
@@ -185,25 +179,19 @@ class TestCatalog:
         model = catalog("M1")
         assert model.k == 3
         assert model.g == (300, 300, 300)
-        assert np.array_equal(model.B_planted, np.diag([0.01, 0.02, 0.03]))
-        assert model.lam == 0.8
-        assert model.nu == 0.0025
 
     def test_m2_block_layout(self):
         model = catalog("M2")
         assert model.g == (150, 150, 300, 300)
-        assert np.array_equal(model.B_planted, np.diag([0.01, 0.01, 0.02, 0.03]))
+        mixture = 0.8 * np.diag([0.01, 0.01, 0.02, 0.03]) + (1.0 - 0.8) * 0.0025
+        assert np.array_equal(model.B, mixture)
 
     def test_m3_damps_third_block(self):
-        assert catalog("M3").B_planted[2, 2] == pytest.approx(0.003, abs=1e-15)
+        assert catalog("M3").B[2, 2] == pytest.approx(0.8 * 0.003 + 0.2 * 0.0025, abs=1e-15)
 
     def test_m6_mixing_layout(self):
-        B = catalog("M6").B_planted
-        assert B[0, 0] == pytest.approx(0.005)
-        assert B[0, 1] == pytest.approx(0.005)
-        assert B[1, 1] == pytest.approx(0.015)
-        assert B[2, 2] == pytest.approx(0.03)
-        assert B[0, 2] == 0.0
+        planted = np.array([[0.005, 0.005, 0.0], [0.005, 0.015, 0.0], [0.0, 0.0, 0.03]])
+        assert catalog("M6").B == pytest.approx(0.8 * planted + 0.2 * 0.0025, rel=0, abs=1e-15)
 
     def test_scale_override(self):
         assert catalog("M1", scale=1 / 3).g == (100, 100, 100)
@@ -247,8 +235,6 @@ class TestScenario:
         for name in SCENARIO_NAMES:
             spec = scenario(name)
             assert spec.f0.n == spec.f1.n
-            assert spec.f0.lam == spec.f1.lam
-            assert spec.f0.nu == spec.f1.nu
 
 
 class TestChangeValidation:
@@ -312,16 +298,12 @@ class TestGenerateSequence:
         # silent baseline vs a model that must emit edges: activity localves
         silent = DcsbmModel(
             g=(5, 5),
-            B_planted=np.zeros((2, 2)),
-            nu=0.0,
-            lam=1.0,
+            B=np.zeros((2, 2)),
             constant_theta=(0, 1),
         )
         loud = DcsbmModel(
             g=(5, 5),
-            B_planted=np.full((2, 2), 1.0),
-            nu=0.0,
-            lam=1.0,
+            B=np.ones((2, 2)),
             constant_theta=(0, 1),
         )
         spec = ScenarioSpec(
@@ -445,3 +427,28 @@ class TestPairListDraw:
         finally:
             tracemalloc.stop()
         assert peak <= 6.5 * pair_array
+
+
+# sha256 over every snapshot's (rows, cols, weights) bytes at scale 0.1, point
+# change, T=30, seed 2019: a change to any catalog model's B or to the draw
+# order shows here for every scenario, not only the fingerprinted group-change
+SEQUENCE_DIGESTS = {
+    "group-change": "105780b6f06ecc17250b669df62095d6f93265d6fc7f7b7bd4d750b17e561f83",
+    "split": "161fa2110e88c3b581b360d5110d31569ef2f70a903dbebb702fdc31cbebc313",
+    "merge": "b471f4df3aff04414c544f9dec05e4ca69c20097a2eda39898ede5d851e8d935",
+    "form": "61b11c664984cc6f28164281a3555f51f5e17bf4e9d949d8cd60a8b9b42bab06",
+    "fragment": "7a904c15765d754bb9b4db32329e25767bd7557f8280a44b05ebb916f602dd21",
+    "hetero-to-homo": "601193b5d8238945c2ba059ad05e1adaa7e2f19abdf4f7f034d5aa0ace1e2dda",
+    "homo-to-hetero": "17fbbc3c7ae7cf7162a944ca9741c3a45cea1fd211ced31d425616e7bdf09d92",
+    "simple-to-complex": "1ccc22acb0e95aa4ce4e4b4d8386f7b304998db035e2b8b51d5df98154f37943",
+    "complex-to-simple": "b34960e9e08fcbaa5d3f8f5a38a0e9b1370ff4a99c3473b33a9e6c13e5fd6570",
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scenario_draws_keep_their_bytes(name):
+    digest = hashlib.sha256()
+    for snap in generate_sequence(scenario(name, scale=0.1), np.random.default_rng(2019)):
+        for array in snap.edges:
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == SEQUENCE_DIGESTS[name]
