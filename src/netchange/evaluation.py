@@ -82,7 +82,7 @@ def estimate_phi(
         raise ValueError("sample count must be positive")
     changed = z_changed[rng.integers(0, z_changed.size, N)]
     unchanged = z_unchanged[rng.integers(0, z_unchanged.size, N)]
-    phi = float(np.mean(changed > unchanged))
+    phi = np.count_nonzero(changed > unchanged) / N
     half = 0.5 / N
     return min(max(phi, half), 1.0 - half)
 

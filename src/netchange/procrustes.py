@@ -29,13 +29,13 @@ class AlignmentResult:
 
     Attributes:
         mean: elementwise average of the aligned copies.
-        aligned: aligned pre-shapes, one per input matrix.
+        aligned: aligned pre-shapes stacked in input order, shape (m, n, d).
         iterations: number of full alignment passes performed.
         converged: False only if the iteration cap was reached first.
     """
 
     mean: np.ndarray
-    aligned: list[np.ndarray]
+    aligned: np.ndarray
     iterations: int
     converged: bool
 
@@ -71,16 +71,16 @@ def pre_shape(X: np.ndarray) -> np.ndarray:
 def optimal_rotation(mu: np.ndarray, Xtilde: np.ndarray) -> np.ndarray:
     """Orthogonal matrix G minimizing ||Xtilde @ G - mu||_F.
 
-    Computed from the SVD of mu^T Xtilde as V U^T.  Rank deficiency of the
-    cross-product (e.g. from zero-padded columns) is benign: any SVD yields
-    an optimizer.
+    Computed from the SVD of mu^T Xtilde as V U^T, one G per member when
+    Xtilde is an (m, n, d) stack.  Rank deficiency of the cross-product
+    (e.g. from zero-padded columns) is benign: any SVD yields an optimizer.
     """
     mu = np.asarray(mu, dtype=float)
     Xtilde = np.asarray(Xtilde, dtype=float)
-    if mu.shape != Xtilde.shape:
+    if mu.shape != Xtilde.shape[-2:]:
         raise ValueError(f"shape mismatch: {mu.shape} vs {Xtilde.shape}")
     U, _, Vt = np.linalg.svd(mu.T @ Xtilde)
-    return Vt.T @ U.T
+    return np.swapaxes(Vt, -1, -2) @ np.swapaxes(U, -1, -2)
 
 
 def gpa_align(matrices: list[np.ndarray]) -> AlignmentResult:
@@ -91,22 +91,21 @@ def gpa_align(matrices: list[np.ndarray]) -> AlignmentResult:
     and measures the squared movement D of the mean.  Iteration stops once
     D drops to GPA_THRESHOLD or the GPA_MAX_ITERATIONS cap is hit (flagged,
     not an error).
-    Pre-shapes do not change across passes, so they are computed once.
+    Pre-shapes do not change across passes, so they are stacked once and a
+    pass is one stacked SVD and one stacked product.
     """
     if len(matrices) < 2:
         raise ValueError("alignment needs at least two matrices")
-    shapes = {np.asarray(m).shape for m in matrices}
-    if len(shapes) != 1:
-        raise ValueError(f"matrices must share one shape, got {sorted(shapes)}")
-    tildes = [pre_shape(m) for m in matrices]
+    raw = np.stack(matrices, dtype=float)
+    tildes = np.stack([pre_shape(X) for X in raw])
 
-    mu = np.asarray(matrices[0], dtype=float)
+    mu = raw[0]
     aligned = tildes
     iterations = 0
     D = np.inf
     while D > GPA_THRESHOLD and iterations < GPA_MAX_ITERATIONS:
-        aligned = [Xt @ optimal_rotation(mu, Xt) for Xt in tildes]
-        new_mu = np.mean(aligned, axis=0)
+        aligned = tildes @ optimal_rotation(mu, tildes)
+        new_mu = aligned.mean(axis=0)
         D = float(np.sum((mu - new_mu) ** 2))
         mu = new_mu
         iterations += 1

@@ -53,6 +53,54 @@ def reference_gpa(matrices, threshold=1e-10, max_iterations=100):
     return mu, aligned
 
 
+def member_loop_gpa(matrices):
+    """The per-member GPA pass, one rotation and one product per matrix.
+
+    `gpa_align` runs the same pass as one stacked SVD and one stacked
+    product; this loop is its bitwise reference.
+    """
+    tildes = [pre_shape(X) for X in matrices]
+    mu = np.asarray(matrices[0], dtype=float)
+    aligned = tildes
+    iterations = 0
+    D = np.inf
+    while D > procrustes.GPA_THRESHOLD and iterations < procrustes.GPA_MAX_ITERATIONS:
+        aligned = [Xt @ optimal_rotation(mu, Xt) for Xt in tildes]
+        new_mu = np.mean(aligned, axis=0)
+        D = float(np.sum((mu - new_mu) ** 2))
+        mu = new_mu
+        iterations += 1
+    return mu, np.asarray(aligned), iterations, D <= procrustes.GPA_THRESHOLD
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def assert_same_as_member_loop(window):
+    result = gpa_align(window)
+    mean, aligned, iterations, converged = member_loop_gpa(window)
+    assert np.array_equal(bits(result.mean), bits(mean))
+    assert np.array_equal(bits(result.aligned), bits(aligned))
+    assert (result.iterations, result.converged) == (iterations, converged)
+
+
+def padded_window(m, d_max, seed, n=12):
+    """m members of dimension 1..d_max (one has d_max), zero-padded to d_max.
+
+    Every other member has tied rows, as sparse snapshots give.
+    """
+    rng = np.random.default_rng(seed)
+    dims = [d_max] + [int(d) for d in rng.integers(1, d_max + 1, m - 1)]
+    window = []
+    for i, d in enumerate(dims):
+        X = rng.standard_normal((n, d))
+        if i % 2:
+            X[n // 2:] = X[0]
+        window.append(procrustes._padded(X, d_max))
+    return window
+
+
 def gpa_objectives(matrices):
     """Sum of squared distances to the mean after each pass of `gpa_align`.
 
@@ -137,6 +185,20 @@ class TestOptimalRotation:
         distances = np.linalg.norm(candidates - mu, axis=(1, 2))
         assert best <= distances.min() + 1e-12
 
+    def test_stack_matches_single_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3):
+            mu = pre_shape(rng.standard_normal((7, d)))
+            stack = np.stack([pre_shape(rng.standard_normal((7, d))) for _ in range(5)])
+            stacked = optimal_rotation(mu, stack)
+            assert stacked.shape == (5, d, d)
+            single = np.stack([optimal_rotation(mu, Xt) for Xt in stack])
+            assert np.array_equal(bits(stacked), bits(single))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            optimal_rotation(np.zeros((4, 2)), np.zeros((3, 4, 3)))
+
 
 class TestGpaAlign:
     def test_identical_copies(self):
@@ -173,7 +235,29 @@ class TestGpaAlign:
     def test_mean_is_average_of_aligned(self):
         rng = np.random.default_rng(13)
         result = gpa_align([rng.standard_normal((6, 2)) for _ in range(5)])
-        assert np.abs(result.mean - np.mean(result.aligned, axis=0)).max() < 1e-10
+        assert result.aligned.shape == (5, 6, 2)
+        assert np.abs(result.mean - result.aligned.mean(axis=0)).max() < 1e-10
+
+    @pytest.mark.parametrize("d_max", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 5, 10])
+    def test_matches_member_loop_bitwise(self, m, d_max):
+        for seed in range(3):
+            assert_same_as_member_loop(padded_window(m, d_max, seed=100 * m + 10 * d_max + seed))
+
+    def test_dcsbm_window_matches_member_loop_bitwise(self):
+        embeddings = dcsbm_embeddings(5, seed=202)
+        d_max = max(e.d for e in embeddings)
+        assert_same_as_member_loop([procrustes._padded(e.X, d_max) for e in embeddings])
+
+    def test_mixed_shapes_rejected_before_pre_shape(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError):
+            gpa_align([rng.standard_normal((5, 2)), rng.standard_normal((5, 3))])
+        # the constant member would raise DegenerateShape if it were pre-shaped first
+        with pytest.raises(ValueError):
+            gpa_align([np.full((5, 2), 1.5), rng.standard_normal((5, 3))])
+        with pytest.raises(ValueError):
+            gpa_align([rng.standard_normal((5, 2)), np.ones((4, 2)), rng.standard_normal((5, 2))])
 
     def test_needs_two_matrices(self):
         with pytest.raises(ValueError):

@@ -45,14 +45,14 @@ def traced_spans(tmp_path, method):
         snaps.append(SnapshotMatrix(W=upper + upper.T, t=t))
     edges = tmp_path / f"{method}.tsv"
     write_sequence(edges, snaps)
-    return traced_counts(
+    return layer_counts(traced(
         ["detect", "--input", str(edges), "--method", method, "--window", "2",
          "--out", str(tmp_path / method)]
-    )
+    ))
 
 
-def traced_counts(argv):
-    """Spans per layer name of one traced CLI call."""
+def traced(argv):
+    """Spans of one traced CLI call."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -61,7 +61,12 @@ def traced_counts(argv):
         tracer.uninstall()
     assert code == 0
     assert netchange.pipeline.embed is netchange.embedding.embed
-    names = [span["name"] for span in tracer.spans]
+    return tracer.spans
+
+
+def layer_counts(spans):
+    """Spans per layer name."""
+    names = [span["name"] for span in spans]
     return {name: names.count(name) for name in set(names)}
 
 
@@ -77,11 +82,12 @@ def test_every_layer_records_spans(tmp_path):
 
 
 def test_evaluate_records_every_layer(tmp_path):
-    counts = traced_counts(
+    spans = traced(
         ["evaluate", "--scenario", "group-change", "--scale", "0.1",
          "--methods", "cdp,act,actm", "--windows", "1,2", "--runs", "1",
          "--phi-samples", "1000", "--out", str(tmp_path / "ev")]
     )
+    counts = layer_counts(spans)
     for layer in EVALUATE_LAYERS:
         assert counts.get(layer, 0) > 0, layer
     assert counts["dcsbm.generate"] == 1
@@ -90,3 +96,9 @@ def test_evaluate_records_every_layer(tmp_path):
     scored = (DEFAULT_T - 1) + (DEFAULT_T - 2)  # windows 1 and 2
     assert counts["baselines.window_score"] == 2 * scored
     assert counts["evaluation.phi"] == 3 * scored
+    # the bench's gpa_passes and gpa_unconverged read these off AlignmentResult
+    gpa = [span["attrs"] for span in spans if span["name"] == "procrustes.gpa_align"]
+    assert gpa
+    for attrs in gpa:
+        assert type(attrs["passes"]) is int and attrs["passes"] >= 1
+        assert type(attrs["converged"]) is bool
