@@ -58,13 +58,13 @@ from .graph import (
 from .pipeline import (
     CdpConfig,
     ScoreSeries,
+    ScoreVector,
     cdp_scores,
     normalize_and_detect,
     sweep,
 )
 from .procrustes import (
     AlignmentResult,
-    ScoreVector,
     change_scores,
     gpa_align,
     optimal_rotation,

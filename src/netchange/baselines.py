@@ -20,7 +20,6 @@ from .graph import SnapshotMatrix
 # normalize_and_detect is imported for callers that rebind it here by
 # module (layer tracing); the sweep itself normalizes through pipeline.
 from .pipeline import normalize_and_detect  # noqa: F401
-from .procrustes import ScoreVector
 
 # Read at call time, so tests can patch them.
 ACTIVITY_TOL = 1e-13
@@ -87,7 +86,7 @@ def _window_basis(window: list[Embedding]) -> tuple[np.ndarray, int]:
     return U[:, :rank], rank
 
 
-def act_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
+def act_scores(window: list[Embedding], current: Embedding) -> np.ndarray:
     """Entrywise gap between the window's leading direction and the current vector.
 
     For a single-member window the leading direction is that member itself,
@@ -107,10 +106,10 @@ def act_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
         r = basis[:, 0]
     if float(r @ u) < 0:
         r = -r
-    return ScoreVector(z=np.abs(r - u), t=current.t)
+    return np.abs(r - u)
 
 
-def actm_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
+def actm_scores(window: list[Embedding], current: Embedding) -> np.ndarray:
     """Entrywise gap between the window-subspace projection and the current vector.
 
     The projection onto the span of the window is the closest point to the
@@ -122,5 +121,5 @@ def actm_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
     basis, _rank = _window_basis(window)
     u = current.X[:, 0]
     projected = basis @ (basis.T @ u)
-    return ScoreVector(z=np.abs(projected - u), t=current.t)
+    return np.abs(projected - u)
 

@@ -261,15 +261,14 @@ class _ScoreRows:
         self.series = series
 
     def __len__(self) -> int:
-        return sum(self.series.scores[t].z.size for t in self.series.scored_instants())
+        return self.series.scores.size
 
     def __iter__(self) -> Iterator[tuple]:
         series = self.series
-        for t in series.scored_instants():
-            detected = series.detections[t]
-            pairs = zip(series.scores[t].z.tolist(), series.zscores[t].tolist())
-            for v, (z, zhat) in enumerate(pairs):
-                yield (t, v, z, zhat, 1 if v in detected else 0)
+        rows = zip(series.instants, series.scores, series.zscores, series.detected.astype(int))
+        for t, z, zhat, detected in rows:
+            for v, row in enumerate(zip(z.tolist(), zhat.tolist(), detected.tolist())):
+                yield (t, v, *row)
 
 
 def cmd_detect(args, out: Path, stages: StageTimer):
@@ -282,13 +281,12 @@ def cmd_detect(args, out: Path, stages: StageTimer):
     with stages("write"):
         write_csv(out / "scores.csv", ["t", "vertex", "z", "zscore", "detected"],
                   _ScoreRows(series))
-        write_csv(out / "dims.csv", ["t", "d"], [(t, series.dims[t]) for t in sorted(series.dims)])
-    scored = series.scored_instants()
-    flagged = sum(len(series.detections[t]) for t in scored)
-    worst = max((len(series.detections[t]) / snapshots[0].n for t in scored), default=0.0)
+        write_csv(out / "dims.csv", ["t", "d"],
+                  list(enumerate(series.dims.tolist(), start=snapshots[0].t)))
+    flagged = series.detected.sum(axis=1).tolist()
     summary = (
-        f"scored {len(scored)} instants with {method}; {flagged} detections, "
-        f"max per-instant fraction {worst:.4f}"
+        f"scored {len(series.instants)} instants with {method}; {sum(flagged)} detections, "
+        f"max per-instant fraction {max(flagged) / snapshots[0].n:.4f}"
     )
     return [str(args.input)], ["scores.csv", "dims.csv"], summary
 

@@ -193,12 +193,11 @@ def run_experiment(
         config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
         for (method, w), result in score_sequence(snapshots, config, methods, windows).items():
             if w == windows[0]:
-                seconds[("embedding", method)].extend(result.embed_seconds.values())
-            seconds[("profile_and_scores", method)].extend(result.score_seconds.values())
+                seconds[("embedding", method)].extend(result.embed_seconds.tolist())
+            seconds[("profile_and_scores", method)].extend(result.score_seconds.tolist())
             rng = _phi_rng(rseed, method, w)
             prev_eta = None
-            for t in result.scored_instants():
-                z = result.scores[t].z
+            for t, z in zip(result.instants, result.scores):
                 phi = estimate_phi(z[changed], z[unchanged], N, rng)
                 eta = log_odds(phi)
                 blocks[(method, w)].append(

@@ -15,14 +15,14 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import DEFAULT_RANK_EPSILON, Embedding, embed
 from .errors import EmptyGraph
 from .graph import SnapshotMatrix, representation_matrix
-from .procrustes import ScoreVector, change_scores, profile_embedding
+from .procrustes import change_scores, profile_embedding
 
 DEFAULT_WINDOW = 5
 DEFAULT_ZSCORE_THRESHOLD = 5.0
@@ -53,44 +53,57 @@ class CdpConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass
-class ScoreSeries:
-    """Scores, z-scores, detections and diagnostics keyed by time index.
+@dataclass(frozen=True)
+class ScoreVector:
+    """Nonnegative per-vertex change scores for one time instant."""
 
-    Raw and normalized scores exist exactly for instants after the first
-    window (t > w); dimensions and timings cover every embedded instant.
+    z: np.ndarray
+    t: int = 1
+
+    def __post_init__(self):
+        z = np.asarray(self.z, dtype=float)
+        if not np.all(np.isfinite(z)) or np.any(z < 0):
+            raise ValueError("change scores must be finite and nonnegative")
+        object.__setattr__(self, "z", z)
+
+
+@dataclass(frozen=True)
+class ScoreSeries:
+    """Scores, z-scores, detections and diagnostics over the instants of a sequence.
+
+    Row k of `scores`, `zscores` and the boolean `detected` mask (each
+    S x n), and entry k of `degenerate` and `score_seconds`, belong to time
+    index `instants[k]`: every instant after the first window (t > w).
+    `dims` and `embed_seconds` cover all T embedded instants, first to last.
     """
 
-    scores: dict[int, ScoreVector] = field(default_factory=dict)
-    zscores: dict[int, np.ndarray] = field(default_factory=dict)
-    detections: dict[int, set[int]] = field(default_factory=dict)
-    degenerate: dict[int, bool] = field(default_factory=dict)
-    dims: dict[int, int] = field(default_factory=dict)
-    embed_seconds: dict[int, float] = field(default_factory=dict)
-    score_seconds: dict[int, float] = field(default_factory=dict)
-
-    def scored_instants(self) -> list[int]:
-        return sorted(self.scores)
+    instants: range
+    scores: np.ndarray
+    zscores: np.ndarray
+    detected: np.ndarray
+    degenerate: np.ndarray
+    score_seconds: np.ndarray
+    dims: np.ndarray
+    embed_seconds: np.ndarray
 
 
 def normalize_and_detect(
     score: ScoreVector, threshold: float = DEFAULT_ZSCORE_THRESHOLD
-) -> tuple[np.ndarray, set[int], bool]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Convert scores to z-scores and flag vertices strictly above threshold.
 
     Uses the sample standard deviation (n-1 denominator).  A (near-)constant
-    score vector yields zero z-scores, no detections, and a degenerate flag
-    rather than an error.
+    score vector yields zero z-scores, an empty detection mask, and a
+    degenerate flag rather than an error.
     """
     z = score.z
     if z.shape[0] < 2:
         raise ValueError("need at least two vertices to normalize")
     std = float(z.std(ddof=1))
     if std < DEGENERATE_STD:
-        return np.zeros_like(z), set(), True
+        return np.zeros_like(z), np.zeros(z.shape, dtype=bool), True
     zhat = (z - z.mean()) / std
-    detected = set(int(i) for i in np.nonzero(zhat > threshold)[0])
-    return zhat, detected, False
+    return zhat, zhat > threshold, False
 
 
 def snapshot_rng(seed: int, t: int) -> np.random.Generator:
@@ -105,7 +118,7 @@ def embed_snapshot(snapshot: SnapshotMatrix, config: CdpConfig) -> Embedding:
     return embed(M, epsilon=config.epsilon_rank, rng=rng, t=snapshot.t)
 
 
-def cdp_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
+def cdp_scores(window: list[Embedding], current: Embedding) -> np.ndarray:
     """Score the current embedding against the profile of its window."""
     return change_scores(current, profile_embedding(window))
 
@@ -113,7 +126,7 @@ def cdp_scores(window: list[Embedding], current: Embedding) -> ScoreVector:
 def sweep(
     snapshots: list[SnapshotMatrix],
     extract: Callable[[SnapshotMatrix], Embedding],
-    scorers: dict[str, Callable[[list[Embedding], Embedding], ScoreVector]],
+    scorers: dict[str, Callable[[list[Embedding], Embedding], np.ndarray]],
     windows: tuple[int, ...],
     threshold: float = DEFAULT_ZSCORE_THRESHOLD,
 ) -> dict[tuple[str, int], ScoreSeries]:
@@ -122,9 +135,10 @@ def sweep(
     `extract` runs once per snapshot and returns its feature, an Embedding
     (an activity vector is a one-column one); only the last max(windows)
     features are kept.  At every instant with at least w earlier features,
-    each scorer compares the current feature with the w before it, and the
-    score is normalized.  Returns one series per (method, window); every
-    series records the feature dimension and extraction seconds of every
+    each scorer compares the current feature with the w before it; its
+    scores must be finite and nonnegative, and are normalized.  Returns one
+    series per (method, window); the series of one sweep share one array of
+    the feature dimension and one of the extraction seconds of every
     instant.  Time indices must be consecutive: a missing instant would
     otherwise be profiled against the wrong past.
     """
@@ -132,9 +146,7 @@ def sweep(
         raise ValueError(f"windows must be >= 1, got {min(windows)}")
     depth = max(windows)
     if len(snapshots) <= depth:
-        raise ValueError(
-            f"need more snapshots ({len(snapshots)}) than the window ({depth})"
-        )
+        raise ValueError(f"need more snapshots ({len(snapshots)}) than the window ({depth})")
     if any(snap.n != snapshots[0].n for snap in snapshots):
         raise ValueError("all snapshots must share the same vertex count")
     for prev, snap in zip(snapshots, snapshots[1:]):
@@ -143,29 +155,34 @@ def sweep(
                 f"time indices must be consecutive: expected t={prev.t + 1} "
                 f"after t={prev.t}, got t={snap.t}"
             )
-    out = {(method, w): ScoreSeries() for method in scorers for w in windows}
+    T, n, first = len(snapshots), snapshots[0].n, snapshots[0].t
+    dims, embed_seconds = np.empty(T, dtype=int), np.empty(T)
+    out = {
+        (method, w): ScoreSeries(
+            range(first + w, first + T), np.empty((T - w, n)), np.empty((T - w, n)),
+            np.empty((T - w, n), dtype=bool), np.empty(T - w, dtype=bool), np.empty(T - w),
+            dims, embed_seconds,
+        )
+        for method in scorers for w in windows
+    }
     recent = deque(maxlen=depth)
-    for snap in snapshots:
-        t = snap.t
+    for k, snap in enumerate(snapshots):
         start = time.perf_counter()
         try:
             feature = extract(snap)
         except EmptyGraph as exc:
-            raise EmptyGraph(f"snapshot t={t} has no edges: {exc}") from exc
-        seconds = time.perf_counter() - start
+            raise EmptyGraph(f"snapshot t={snap.t} has no edges: {exc}") from exc
+        embed_seconds[k] = time.perf_counter() - start
+        dims[k] = feature.d
         for (method, w), series in out.items():
-            series.dims[t] = feature.d
-            series.embed_seconds[t] = seconds
-            if len(recent) < w:
+            if k < w:
                 continue
             start = time.perf_counter()
-            score = scorers[method](list(recent)[-w:], feature)
-            zhat, detected, degenerate = normalize_and_detect(score, threshold)
-            series.scores[t] = score
-            series.zscores[t] = zhat
-            series.detections[t] = detected
-            series.degenerate[t] = degenerate
-            series.score_seconds[t] = time.perf_counter() - start
+            score = ScoreVector(z=scorers[method](list(recent)[-w:], feature), t=snap.t)
+            series.scores[k - w] = score.z
+            series.zscores[k - w], series.detected[k - w], series.degenerate[k - w] = (
+                normalize_and_detect(score, threshold)
+            )
+            series.score_seconds[k - w] = time.perf_counter() - start
         recent.append(feature)
     return out
-

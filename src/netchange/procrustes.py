@@ -40,20 +40,6 @@ class AlignmentResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Nonnegative per-vertex change scores for one time instant."""
-
-    z: np.ndarray
-    t: int = 1
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if not np.all(np.isfinite(z)) or np.any(z < 0):
-            raise ValueError("change scores must be finite and nonnegative")
-        object.__setattr__(self, "z", z)
-
-
 def pre_shape(X: np.ndarray) -> np.ndarray:
     """Remove column means and scale to unit Frobenius norm.
 
@@ -132,15 +118,13 @@ def profile_embedding(window: list[Embedding]) -> Embedding:
     """
     if not window:
         raise ValueError("window must contain at least one embedding")
-    t = window[-1].t
     if len(window) == 1:
-        return Embedding(X=pre_shape(window[0].X), t=t)
+        return Embedding(X=pre_shape(window[0].X))
     d_max = max(e.d for e in window)
-    result = gpa_align([_padded(e.X, d_max) for e in window])
-    return Embedding(X=result.mean, t=t)
+    return Embedding(X=gpa_align([_padded(e.X, d_max) for e in window]).mean)
 
 
-def change_scores(current: Embedding, profile: Embedding) -> ScoreVector:
+def change_scores(current: Embedding, profile: Embedding) -> np.ndarray:
     """Per-vertex dissimilarity between an embedding and its window profile.
 
     Both matrices are padded to a common dimension and aligned pairwise;
@@ -156,4 +140,4 @@ def change_scores(current: Embedding, profile: Embedding) -> ScoreVector:
     mean_norm = np.linalg.norm(result.mean)
     if mean_norm < DEGENERATE_NORM:
         raise DegenerateShape("aligned pair cancels out; scores are undefined")
-    return ScoreVector(z=gaps / mean_norm, t=current.t)
+    return gaps / mean_norm

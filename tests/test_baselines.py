@@ -156,13 +156,13 @@ class TestActScores:
     def test_constant_window_scores_zero(self):
         u = activity(random_graph(10, seed=2)).X[:, 0]
         window = [column(u.copy(), t=t) for t in range(1, 4)]
-        z = act_scores(window, column(u.copy(), t=4)).z
+        z = act_scores(window, column(u.copy(), t=4))
         assert z.max() < 1e-10
 
     def test_w1_is_exact_entrywise_gap(self):
         a = activity(random_graph(12, seed=3, t=1))
         b = activity(random_graph(12, seed=4, t=2))
-        z = act_scores([a], b).z
+        z = act_scores([a], b)
         assert np.array_equal(z, np.abs(a.X[:, 0] - b.X[:, 0]))
 
     def test_matches_direct_svd_oracle(self):
@@ -174,7 +174,7 @@ class TestActScores:
         if r @ current.X[:, 0] < 0:
             r = -r
         expected = np.abs(r - current.X[:, 0])
-        z = act_scores(vectors, current).z
+        z = act_scores(vectors, current)
         assert np.abs(z - expected).max() < 1e-8
 
 
@@ -185,12 +185,12 @@ class TestActmScores:
         b = unit(rng.random(10))
         window = [column(a, t=1), column(b, t=2)]
         mix = unit(0.3 * a + 0.7 * b)
-        z = actm_scores(window, column(mix, t=3)).z
+        z = actm_scores(window, column(mix, t=3))
         assert z.max() < 1e-8
 
     def test_w1_identical_scores_zero(self):
         u = activity(random_graph(9, seed=8)).X[:, 0]
-        z = actm_scores([column(u, t=1)], column(u.copy(), t=2)).z
+        z = actm_scores([column(u, t=1)], column(u.copy(), t=2))
         assert z.max() < 1e-10
 
     def test_orthogonal_current_keeps_magnitudes(self):
@@ -199,7 +199,7 @@ class TestActmScores:
         window = [column(e1, t=1)]
         current = np.zeros(6)
         current[3] = 1.0
-        z = actm_scores(window, column(current, t=2)).z
+        z = actm_scores(window, column(current, t=2))
         assert np.allclose(z, np.abs(current), atol=1e-12)
 
     def test_projection_beats_random_span_elements(self):
@@ -230,8 +230,8 @@ class TestActmScores:
         u = activity(random_graph(11, seed=14)).X[:, 0]
         window = [column(u, t=1)]
         current = column(u.copy(), t=2)
-        assert act_scores(window, current).z.max() < 1e-10
-        assert actm_scores(window, current).z.max() < 1e-10
+        assert act_scores(window, current).max() < 1e-10
+        assert actm_scores(window, current).max() < 1e-10
 
 
 class TestScoreSequence:
@@ -240,8 +240,9 @@ class TestScoreSequence:
         swept = score_sequence(snapshots, CdpConfig(), ("actm",), (3,))
         assert set(swept) == {("actm", 3)}
         series = swept[("actm", 3)]
-        assert series.scored_instants() == [4, 5, 6]
-        assert all(series.dims[t] == 1 for t in range(1, 7))
+        assert series.instants == range(4, 7)
+        assert series.scores.shape == (3, 10)
+        assert series.dims.tolist() == [1] * 6
 
     def test_unknown_method_rejected(self):
         snapshots = [random_graph(10, seed=s, t=s + 1) for s in range(3)]

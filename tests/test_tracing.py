@@ -45,10 +45,10 @@ def traced_spans(tmp_path, method):
         snaps.append(SnapshotMatrix(W=upper + upper.T, t=t))
     edges = tmp_path / f"{method}.tsv"
     write_sequence(edges, snaps)
-    return layer_counts(traced(
+    return traced(
         ["detect", "--input", str(edges), "--method", method, "--window", "2",
          "--out", str(tmp_path / method)]
-    ))
+    )
 
 
 def traced(argv):
@@ -71,14 +71,28 @@ def layer_counts(spans):
 
 
 def test_every_layer_records_spans(tmp_path):
-    cdp = traced_spans(tmp_path, "cdp")
+    cdp = layer_counts(traced_spans(tmp_path, "cdp"))
     for layer in CDP_LAYERS:
         assert cdp.get(layer, 0) > 0, layer
-    act = traced_spans(tmp_path, "act")
+    act = layer_counts(traced_spans(tmp_path, "act"))
     for layer in ACT_LAYERS:
         assert act.get(layer, 0) > 0, layer
     assert act["baselines.activity"] == 4
     assert act["baselines.window_score"] == 2
+
+
+def test_scored_layers_carry_their_instant(tmp_path):
+    # The bench keys per-instant figures by these time indices; a producer
+    # falling back to a default t would merge the instants into one key.
+    scored = {
+        "cdp": ("procrustes.profile", "procrustes.change_scores", "pipeline.normalize"),
+        "act": ("baselines.window_score", "pipeline.normalize"),
+    }
+    for method, layers in scored.items():
+        spans = traced_spans(tmp_path, method)
+        for layer in layers:
+            ops = sorted(span["op"] for span in spans if span["name"] == layer)
+            assert ops == [[0, 3], [0, 4]], (method, layer)  # w=2 over T=4
 
 
 def test_evaluate_records_every_layer(tmp_path):
