@@ -67,7 +67,7 @@ def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
     path = Path(path)
     times, firsts, seconds, linenos = (array("q") for _ in range(4))
     weights = array("d")
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -180,38 +180,30 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> Non
         writer.writerows(rows)
 
 
-class StageTimer:
-    """Names the running stage and records wall-clock seconds per stage."""
+class _Stage:
+    """Names the running stage (kept if it fails) and records seconds per stage."""
 
     def __init__(self):
         self.records: list[dict] = []
-        self.current: str | None = None
+        self.name: str | None = None
 
-    def __call__(self, name: str):
-        return _Stage(self, name)
-
-
-class _Stage:
-    def __init__(self, timer: StageTimer, name: str):
-        self.timer = timer
+    def __call__(self, name: str) -> _Stage:
         self.name = name
+        return self
 
     def __enter__(self):
-        self.timer.current = self.name
         self.start = time.perf_counter()
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
-            self.timer.records.append(
-                {"stage": self.name, "seconds": time.perf_counter() - self.start}
-            )
-            self.timer.current = None
+            self.records.append({"stage": self.name, "seconds": time.perf_counter() - self.start})
+            self.name = None
         return False
 
 
 def write_manifest(
     out_dir: Path, args: argparse.Namespace, inputs: list[str], outputs: list[str],
-    stages: StageTimer,
+    stages: _Stage,
 ) -> None:
     """Write `out_dir/manifest.json`; `outputs` are file names inside `out_dir`."""
     skip = {"func", "command", "config"}
@@ -237,7 +229,7 @@ def _scenario_spec(args) -> ScenarioSpec:
 # (input paths, output file names, summary line)
 
 
-def cmd_simulate(args, out: Path, stages: StageTimer):
+def cmd_simulate(args, out: Path, stages: _Stage):
     with stages("build-scenario"):
         spec = _scenario_spec(args)
     with stages("generate"):
@@ -271,7 +263,7 @@ class _ScoreRows:
                 yield (t, v, *row)
 
 
-def cmd_detect(args, out: Path, stages: StageTimer):
+def cmd_detect(args, out: Path, stages: _Stage):
     config = CdpConfig(epsilon_rank=args.epsilon, zscore_threshold=args.threshold, seed=args.seed)
     with stages("ingest"):
         snapshots = ingest_sequence(args.input)
@@ -303,7 +295,7 @@ _EVALUATE_TABLES = (
 )
 
 
-def cmd_evaluate(args, out: Path, stages: StageTimer):
+def cmd_evaluate(args, out: Path, stages: _Stage):
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
         windows = tuple(int(w) for w in args.windows.split(","))
@@ -334,7 +326,7 @@ def cmd_evaluate(args, out: Path, stages: StageTimer):
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat 'key = value' file mirroring the command-line flags."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -413,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    stages = StageTimer()
+    stages = _Stage()
     made: list[Path] = []  # the directories this run creates, deepest first
     try:
         if args.config:
@@ -431,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         with contextlib.suppress(OSError):  # rmdir stops at the first non-empty one
             for d in made:
                 d.rmdir()
-        stage = stages.current or "setup"
+        stage = stages.name or "setup"
         print(f"netchange {args.command}: stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1
     print(summary)

@@ -32,6 +32,13 @@ class TestIngest:
         for s in snaps:
             assert np.array_equal(s.W, np.array([[0.0, 9.0], [9.0, 0.0]]))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_text("1 0 1 9\n2 0 1 9\n", encoding="utf-8-sig")
+        snaps = ingest_sequence(path)
+        assert [s.t for s in snaps] == [1, 2]
+        assert snaps[0].W[0, 1] == 9.0
+
     def test_duplicate_same_weight_idempotent(self, tmp_path):
         path = write(tmp_path / "e.tsv", "1 0 1 2.5\n1 1 0 2.5\n1 0 1 2.5\n")
         snaps = ingest_sequence(path)
@@ -165,6 +172,16 @@ class TestConfigFile:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["window"] == 1
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window = 1\nmethod = act\n", encoding="utf-8-sig")
+        edges = write(tmp_path / "e.tsv", "1 0 1 1\n2 0 1 2\n3 1 0 1\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--input", str(edges), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["window"] == 1 and manifest["config"]["method"] == "act"
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", "just-a-token\n")

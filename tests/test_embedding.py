@@ -6,6 +6,8 @@ import pytest
 
 import netchange.embedding
 from netchange import (
+    CdpConfig,
+    DcsbmModel,
     InvalidWeight,
     NotConverged,
     NotSymmetric,
@@ -13,9 +15,12 @@ from netchange import (
     embed,
     random_sign_flip,
     representation_matrix,
+    sample_snapshot,
+    sample_theta,
     spectral_norm,
 )
 from netchange.embedding import _eigsorted, _fix_column_signs
+from netchange.pipeline import embed_snapshot
 
 
 def random_symmetric(n, rng, scale=1.0):
@@ -355,3 +360,30 @@ class TestResidualInvariants:
         evals, _ = _eigsorted(M)
         tails = np.sqrt(np.cumsum(np.abs(evals)[::-1] ** 2))[::-1]
         assert np.all(np.diff(tails) <= 1e-15)
+
+
+@pytest.mark.parametrize(
+    "deg",
+    [
+        pytest.param(
+            0.5,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="at mean degree 0.5, small bipartite components give +-lambda "
+                "pairs near 1 and the sign-flip search returns d from 4 to about 50; "
+                "ROADMAP item 10",
+            ),
+        ),
+        1.5,
+    ],
+)
+def test_one_block_graph_embeds_in_few_dimensions(deg):
+    # A one-block DCSBM has no block structure, so the intended d is 1.
+    model = DcsbmModel(g=(300,), B=[[deg / 300]], constant_theta=())
+    dims = []
+    for k in range(8):
+        rng = np.random.default_rng(k)
+        theta = sample_theta(model, rng)
+        dims.append(embed_snapshot(sample_snapshot(model, theta, rng, t=1), CdpConfig(seed=0)).d)
+    assert max(dims) <= 2, dims

@@ -7,10 +7,12 @@ would silently read zero in the traced benchmark.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
+import netchange.cli
 import netchange.embedding
 import netchange.pipeline
 from netchange import SnapshotMatrix
@@ -79,6 +81,17 @@ def test_every_layer_records_spans(tmp_path):
         assert act.get(layer, 0) > 0, layer
     assert act["baselines.activity"] == 4
     assert act["baselines.window_score"] == 2
+
+
+def test_cli_stages_are_spans(tmp_path):
+    # The bench's cli.write_s is the write stage's span.
+    originals = (netchange.cli._Stage.__enter__, netchange.cli._Stage.__exit__)
+    spans = traced_spans(tmp_path, "act")
+    expected = ["stage.ingest", "stage.score", "cli.write"]
+    assert [span["name"] for span in spans if span["name"] in expected] == expected
+    manifest = json.loads((tmp_path / "act" / "manifest.json").read_text())
+    assert [record["stage"] for record in manifest["stages"]] == ["ingest", "score", "write"]
+    assert (netchange.cli._Stage.__enter__, netchange.cli._Stage.__exit__) == originals
 
 
 def test_scored_layers_carry_their_instant(tmp_path):
