@@ -283,18 +283,6 @@ def cmd_detect(args, out: Path, stages: _Stage):
     return [str(args.input)], ["scores.csv", "dims.csv"], summary
 
 
-# (file, `ExperimentResult` field, header) for each table `evaluate` writes
-_EVALUATE_TABLES = (
-    ("performance.csv", "performance",
-     ["scenario", "method", "window", "run", "t", "phi", "eta", "eta_bar"]),
-    ("sign_tests.csv", "sign_tests",
-     ["scenario", "window", "comparison", "alternative", "p_value"]),
-    ("proportions.csv", "proportions",
-     ["scenario", "window", "comparison", "relation", "proportion"]),
-    ("timings.csv", "timings", ["task", "method", "n", "mean_seconds"]),
-)
-
-
 def cmd_evaluate(args, out: Path, stages: _Stage):
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
@@ -309,14 +297,14 @@ def cmd_evaluate(args, out: Path, stages: _Stage):
             N=args.phi_samples, epsilon_rank=args.epsilon,
         )
     with stages("write"):
-        for name, field, header in _EVALUATE_TABLES:
-            rows = getattr(result, field)
-            write_csv(out / name, header, [tuple(r[h] for h in header) for r in rows])
+        tables = result.tables()
+        for name, (header, rows) in tables.items():
+            write_csv(out / f"{name}.csv", header, rows)
     summary = (
         f"evaluated {spec.name} over {args.runs} runs, "
         f"methods={','.join(methods)}, windows={args.windows}"
     )
-    return [], [name for name, _, _ in _EVALUATE_TABLES], summary
+    return [], [f"{name}.csv" for name in tables], summary
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +402,8 @@ def main(argv: list[str] | None = None) -> int:
                 file_args.extend([f"--{key.replace('_', '-')}", value])
             # file values act as defaults: explicit flags come later and win
             args = parser.parse_args([argv[0], *file_args, *argv[1:]])
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         out = Path(args.out)
         made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)

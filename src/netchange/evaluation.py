@@ -14,6 +14,7 @@ transitions.  Runs are repeated with independently derived seeds
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,19 +126,82 @@ def sign_test(a: np.ndarray, b: np.ndarray, alternative: str = "greater") -> flo
     raise ValueError(f"unknown alternative {alternative!r}")
 
 
-@dataclass
-class ExperimentResult:
-    """Everything produced by one simulation experiment, as the rows `evaluate` writes.
+def _sign_p(a: np.ndarray, b: np.ndarray, alternative: str) -> float:
+    """`sign_test`, with NaN where every pair is tied."""
+    try:
+        return sign_test(a, b, alternative)
+    except UndefinedTest:
+        return float("nan")
 
-    `performance` has one row per (method, window, run, scored instant) in
-    that order, methods in table order: phi, its log odds eta, and eta_bar,
-    the change in eta since the previous scored instant (None at the first).
+
+@dataclass(frozen=True)
+class ExperimentResult:
+    """One simulation experiment as arrays over runs and scored instants.
+
+    For each (method, w), `phi`, `eta`, `flagged` and `hits` are runs x S
+    arrays whose column k belongs to time index `instants[w][k]`: the
+    exceedance probability, its log odds, the count of vertices with
+    z-score above the detection threshold, and how many of those changed.
+    `seconds[(task, method)]` holds per-instant seconds over every run.
     """
 
-    performance: list[dict]
-    sign_tests: list[dict]
-    proportions: list[dict]
-    timings: list[dict]
+    spec: ScenarioSpec
+    methods: tuple[str, ...]
+    windows: tuple[int, ...]
+    instants: dict[int, range]
+    phi: dict[tuple[str, int], np.ndarray]
+    eta: dict[tuple[str, int], np.ndarray]
+    flagged: dict[tuple[str, int], np.ndarray]
+    hits: dict[tuple[str, int], np.ndarray]
+    seconds: dict[tuple[str, str], list[float]]
+
+    def tables(self) -> dict[str, tuple[list[str], list[tuple]]]:
+        """The tables `evaluate` writes, by name: a header and its rows.
+
+        `performance` has one row per (method, window, run, scored instant)
+        in that order, methods in table order; its eta_bar is the change in
+        eta since the previous scored instant, empty at the first.  The sign
+        tests and proportions compare every pair of methods on eta at the
+        change instant, one value per run.
+        """
+        name, t_star = self.spec.name, self.spec.change.start
+        performance = [
+            (name, m, w, run, *row)
+            for m in self.methods
+            for w in self.windows
+            for run, (phi, eta, flagged, hits) in enumerate(
+                zip(self.phi[m, w], self.eta[m, w], self.flagged[m, w], self.hits[m, w])
+            )
+            for row in zip(
+                self.instants[w], phi.tolist(), eta.tolist(), [None, *np.diff(eta).tolist()],
+                flagged.tolist(), hits.tolist(),
+            )
+        ]
+        signs, proportions = [], []
+        for w in self.windows:
+            k = self.instants[w].index(t_star)
+            for a, b in itertools.combinations(self.methods, 2):
+                eta_a, eta_b = self.eta[a, w][:, k], self.eta[b, w][:, k]
+                pair = (name, w, f"{a}_vs_{b}")
+                signs += [
+                    (*pair, alternative, _sign_p(eta_a, eta_b, alternative))
+                    for alternative in ("greater", "less", "two_sided")
+                ]
+                proportions += [
+                    (*pair, relation, np.count_nonzero(op(eta_a, eta_b)) / eta_a.size)
+                    for relation, op in (
+                        ("greater", np.greater), ("less", np.less), ("equal", np.equal)
+                    )
+                ]
+        timings = [(task, m, self.spec.n, float(np.mean(seconds)))
+                   for (task, m), seconds in self.seconds.items()]
+        return {
+            "performance": ("scenario method window run t phi eta eta_bar flagged hits".split(),
+                            performance),
+            "sign_tests": ("scenario window comparison alternative p_value".split(), signs),
+            "proportions": ("scenario window comparison relation proportion".split(), proportions),
+            "timings": ("task method n mean_seconds".split(), timings),
+        }
 
 
 def run_seed(base_seed: int, run_index: int) -> int:
@@ -163,103 +227,48 @@ def run_experiment(
     """Repeat a scenario, score it with each method and window, measure separation.
 
     Every run draws a fresh sequence; all methods and windows score the same
-    sequence so cross-method comparisons are paired.  Sign tests and
-    proportion tables compare eta at the change instant.
+    sequence so cross-method comparisons are paired.  Every check of the
+    arguments comes before the first run is drawn.
     """
     methods = _ordered_methods(methods)
     windows = tuple(sorted(set(windows)))
     if not methods or not windows:
         raise ValueError("need at least one method and one window")
+    if windows[0] < 1:
+        raise ValueError(f"windows must be >= 1, got {windows[0]}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if N < 1:
         raise ValueError(f"phi sample count N must be >= 1, got {N}")
-    t_change = spec.change.start
-    for w in windows:
-        if w >= t_change:
-            raise ValueError(f"window {w} must be smaller than change instant {t_change}")
-    changed = spec.changed_vertices
-    unchanged = spec.unchanged_vertices
+    if windows[-1] >= spec.change.start:
+        raise ValueError(f"window {windows[-1]} must be smaller than t*={spec.change.start}")
+    changed, unchanged = spec.changed_vertices, spec.unchanged_vertices
 
-    # one row list per (method, w), in output order, joined at the end
-    blocks: dict[tuple[str, int], list[dict]] = {(m, w): [] for m in methods for w in windows}
+    instants, phi, eta, flagged, hits = {}, {}, {}, {}, {}
     seconds: dict[tuple[str, str], list[float]] = {
         (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
     }
-
     for run in range(runs):
         rseed = run_seed(seed, run)
         snapshots = generate_sequence(spec, np.random.default_rng(rseed))
         config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
-        for (method, w), result in score_sequence(snapshots, config, methods, windows).items():
+        for (method, w), series in score_sequence(snapshots, config, methods, windows).items():
+            if run == 0:
+                instants[w] = series.instants
+                shape = (runs, len(series.instants))
+                phi[method, w], eta[method, w] = np.empty(shape), np.empty(shape)
+                flagged[method, w] = np.empty(shape, dtype=int)
+                hits[method, w] = np.empty(shape, dtype=int)
             if w == windows[0]:
-                seconds[("embedding", method)].extend(result.embed_seconds.tolist())
-            seconds[("profile_and_scores", method)].extend(result.score_seconds.tolist())
+                seconds[("embedding", method)].extend(series.embed_seconds.tolist())
+            seconds[("profile_and_scores", method)].extend(series.score_seconds.tolist())
+            flagged[method, w][run] = series.detected.sum(axis=1)
+            hits[method, w][run] = series.detected[:, changed].sum(axis=1)
             rng = _phi_rng(rseed, method, w)
-            prev_eta = None
-            for t, z in zip(result.instants, result.scores):
-                phi = estimate_phi(z[changed], z[unchanged], N, rng)
-                eta = log_odds(phi)
-                blocks[(method, w)].append(
-                    {
-                        "scenario": spec.name,
-                        "method": method,
-                        "window": w,
-                        "run": run,
-                        "t": t,
-                        "phi": phi,
-                        "eta": eta,
-                        "eta_bar": None if prev_eta is None else eta - prev_eta,
-                    }
-                )
-                prev_eta = eta
+            for k, z in enumerate(series.scores):
+                p = estimate_phi(z[changed], z[unchanged], N, rng)
+                phi[method, w][run, k], eta[method, w][run, k] = p, log_odds(p)
 
-    sign_rows: list[dict] = []
-    prop_rows: list[dict] = []
-    pairs = [(a, b) for i, a in enumerate(methods) for b in methods[i + 1 :]]
-    for w in windows:
-        for a, b in pairs:
-            eta_a, eta_b = (  # eta(t*) of every run, from the performance rows
-                np.array([r["eta"] for r in blocks[(m, w)] if r["t"] == t_change]) for m in (a, b)
-            )
-            for alternative in ("greater", "less", "two_sided"):
-                try:
-                    p = sign_test(eta_a, eta_b, alternative)
-                except UndefinedTest:
-                    p = float("nan")
-                sign_rows.append(
-                    {
-                        "scenario": spec.name,
-                        "window": w,
-                        "comparison": f"{a}_vs_{b}",
-                        "alternative": alternative,
-                        "p_value": p,
-                    }
-                )
-            for relation, count in (
-                ("greater", int(np.count_nonzero(eta_a > eta_b))),
-                ("less", int(np.count_nonzero(eta_a < eta_b))),
-                ("equal", int(np.count_nonzero(eta_a == eta_b))),
-            ):
-                prop_rows.append(
-                    {
-                        "scenario": spec.name,
-                        "window": w,
-                        "comparison": f"{a}_vs_{b}",
-                        "relation": relation,
-                        "proportion": count / eta_a.size,
-                    }
-                )
-
-    timing_rows = [
-        {"task": task, "method": method, "n": spec.n, "mean_seconds": float(np.mean(values))}
-        for (task, method), values in seconds.items()
-    ]
-
-    return ExperimentResult(
-        performance=[row for rows in blocks.values() for row in rows],
-        sign_tests=sign_rows,
-        proportions=prop_rows,
-        timings=timing_rows,
-    )
-
+    return ExperimentResult(spec, methods, windows, instants, phi, eta, flagged, hits, seconds)

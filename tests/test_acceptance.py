@@ -263,10 +263,9 @@ def scaled_experiment():
 
 
 def w5_column(result, method, t, key="eta"):
-    """`key` of one method at instant t and w=5, one value per run in run order."""
-    return np.array(
-        [r[key] for r in result.performance if (r["method"], r["window"], r["t"]) == (method, 5, t)]
-    )
+    """eta, or its change since t-1 (eta_bar), of one method at instant t and w=5, per run."""
+    eta, k = result.eta[method, 5], result.instants[5].index(t)
+    return eta[:, k] if key == "eta" else eta[:, k] - eta[:, k - 1]
 
 
 def test_criterion_6a_scaled_median_eta_positive(scaled_experiment):

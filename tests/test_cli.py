@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -375,7 +377,7 @@ class TestEvaluateCommand:
         )
         assert code == 0
         perf = (out / "performance.csv").read_text().splitlines()
-        assert perf[0] == "scenario,method,window,run,t,phi,eta,eta_bar"
+        assert perf[0] == "scenario,method,window,run,t,phi,eta,eta_bar,flagged,hits"
         # 2 methods x 2 runs x scored instants 3..24
         assert len(perf) == 1 + 2 * 2 * 22
         signs = (out / "sign_tests.csv").read_text().splitlines()
@@ -389,6 +391,30 @@ class TestEvaluateCommand:
         assert {s["stage"] for s in manifest["stages"]} == {
             "build-scenario", "experiment", "write",
         }
+
+    def test_tables_match_pinned_digests(self, tmp_path):
+        # act and actm only: their phi does not depend on the BLAS thread count
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--scenario", "group-change", "--scale", "0.1",
+                "--methods", "act,actm", "--windows", "1,5", "--runs", "2",
+                "--phi-samples", "2000", "--out", str(out)]
+        assert main(argv) == 0
+
+        def digest(name, columns=None):
+            with open(out / name, newline="", encoding="utf-8") as f:
+                text = "".join(",".join(row[:columns]) + "\n" for row in csv.reader(f))
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest("sign_tests.csv") == (
+            "affb377c11ba5614b4eee030d0f36fa6c4453eddab16585cca0a7a38804dd203"
+        )
+        assert digest("proportions.csv") == (
+            "052d1a1da0ac73002ab08e787e924dd242e19e0d4e7c071faf30fac91170b5f2"
+        )
+        # scenario, method, window, run, t, phi, eta, eta_bar
+        assert digest("performance.csv", 8) == (
+            "b3a05b56b946a60740b71139e0a8c4db4460eca9c15cf5999dec04f26756a2f6"
+        )
 
     def test_unknown_method_fails(self, tmp_path, capsys):
         code = main(
@@ -415,6 +441,21 @@ class TestEvaluateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "--windows" in err and "'1,,5'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "merge", "--scale", "0.1"],
+        ["detect", "--input", "missing.tsv"],
+        ["evaluate", "--scenario", "merge", "--scale", "0.1", "--methods", "act", "--runs", "1"],
+    ],
+)
+def test_negative_seed_names_flag(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    assert "stage 'setup' failed: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestManifest:

@@ -15,8 +15,9 @@ from netchange import (
     scenario,
     sign_test,
 )
-from netchange.dcsbm import ScenarioSpec, catalog
-from netchange.evaluation import METHODS, run_seed
+from netchange.dcsbm import ScenarioSpec, catalog, generate_sequence
+from netchange.evaluation import METHODS, run_seed, score_sequence
+from netchange.pipeline import CdpConfig
 
 
 class TestEstimatePhi:
@@ -112,6 +113,12 @@ class TestSignTest:
             sign_test(np.ones(4), np.ones(4))
 
 
+def table(result, name):
+    """The rows of one of `result.tables()` as dicts keyed by its header."""
+    header, rows = result.tables()[name]
+    return [dict(zip(header, row)) for row in rows]
+
+
 def tiny_spec(T=8, t_star=6, null=False):
     f0 = catalog("M1", scale=0.1)
     f1 = f0 if null else catalog("M4", scale=0.1)
@@ -131,13 +138,20 @@ class TestRunExperiment:
         kwargs = dict(methods=("cdp", "act"), windows=(2,), runs=3, seed=5, N=2000)
         first = run_experiment(spec, **kwargs)
         second = run_experiment(spec, **kwargs)
-        assert first.performance == second.performance
-        cdp = [r for r in first.performance if r["method"] == "cdp"]
-        assert [(r["run"], r["t"]) for r in cdp] == [(r, t) for r in range(3) for t in range(3, 9)]
-        for r in cdp:
-            assert 0.0 < r["phi"] < 1.0
-            assert r["eta"] == pytest.approx(math.log(r["phi"] / (1 - r["phi"])), abs=1e-12)
+        for field in ("phi", "eta", "flagged", "hits"):
+            arrays = getattr(first, field)
+            assert list(arrays) == [("cdp", 2), ("act", 2)]
+            for key, values in arrays.items():
+                assert np.array_equal(values, getattr(second, field)[key])
+        assert first.instants == {2: range(3, 9)}
+        phi, eta = first.phi["cdp", 2], first.eta["cdp", 2]
+        assert phi.shape == eta.shape == (3, 6)
+        assert np.all((0.0 < phi) & (phi < 1.0))
+        for p, e in zip(phi.flat, eta.flat):
+            assert e == pytest.approx(math.log(p / (1 - p)), abs=1e-12)
         # eta_bar defined from the second scored instant onwards
+        cdp = [r for r in table(first, "performance") if r["method"] == "cdp"]
+        assert [(r["run"], r["t"]) for r in cdp] == [(r, t) for r in range(3) for t in range(3, 9)]
         defined = {(r["run"], r["t"]) for r in cdp if r["eta_bar"] is not None}
         assert defined == {(r, t) for r in range(3) for t in range(4, 9)}
 
@@ -146,13 +160,14 @@ class TestRunExperiment:
         result = run_experiment(
             spec, methods=("cdp", "act", "actm"), windows=(2,), runs=2, seed=1, N=1000
         )
-        comparisons = {row["comparison"] for row in result.sign_tests}
+        sign_tests, proportions = table(result, "sign_tests"), table(result, "proportions")
+        comparisons = {row["comparison"] for row in sign_tests}
         assert comparisons == {"cdp_vs_act", "cdp_vs_actm", "act_vs_actm"}
-        assert len(result.sign_tests) == 9
-        assert len(result.proportions) == 9
-        for row in result.proportions:
+        assert len(sign_tests) == 9
+        assert len(proportions) == 9
+        for row in proportions:
             assert 0.0 <= row["proportion"] <= 1.0
-        tasks = {(r["task"], r["method"]) for r in result.timings}
+        tasks = {(r["task"], r["method"]) for r in table(result, "timings")}
         assert ("embedding", "cdp") in tasks and ("profile_and_scores", "actm") in tasks
 
     def test_window_must_precede_change(self):
@@ -173,6 +188,37 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="N must be >= 1"):
             run_experiment(tiny_spec(), methods=("act",), windows=(2,), runs=1, N=N)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"windows": (0, 2)}, "windows must be >= 1, got 0"),
+            ({"windows": (-3,)}, "windows must be >= 1, got -3"),
+        ],
+    )
+    def test_seed_and_windows_checked_before_first_run(self, monkeypatch, kwargs, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a run was drawn")
+
+        monkeypatch.setattr(netchange.evaluation, "generate_sequence", no_draw)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(tiny_spec(), **{"methods": ("act",), "windows": (2,), "runs": 1,
+                                           "N": 100, **kwargs})
+
+    def test_flagged_and_hits_count_detection_sets(self):
+        spec = scenario("group-change", scale=0.1)  # n=90: act flags some changed vertices
+        result = run_experiment(spec, methods=("act",), windows=(1,), runs=2, seed=7, N=100)
+        flagged, hits = result.flagged["act", 1], result.hits["act", 1]
+        assert flagged.shape == hits.shape == (2, spec.T - 1)
+        for run in range(2):
+            rseed = run_seed(7, run)
+            snapshots = generate_sequence(spec, np.random.default_rng(rseed))
+            series = score_sequence(snapshots, CdpConfig(seed=rseed), ("act",), (1,))["act", 1]
+            assert np.array_equal(flagged[run], series.detected.sum(axis=1))
+            assert np.array_equal(hits[run], series.detected[:, spec.changed_vertices].sum(axis=1))
+        assert np.all((0 <= hits) & (hits <= flagged))
+        assert hits.sum() > 0 and (flagged > hits).any()
+
     @pytest.mark.parametrize("runs", [0, -2])
     def test_runs_must_be_positive(self, runs):
         with pytest.raises(ValueError, match="runs"):
@@ -183,7 +229,7 @@ class TestRunExperiment:
         result = run_experiment(
             spec, methods=("actm", "cdp"), windows=(2, 1), runs=2, seed=3, N=500
         )
-        rows = result.performance
+        rows = table(result, "performance")
         keys = [(METHODS.index(r["method"]), r["window"], r["run"], r["t"]) for r in rows]
         # methods in table order, then ascending window, run and instant
         assert keys == [
@@ -194,7 +240,7 @@ class TestRunExperiment:
             for t in range(w + 1, 9)
         ]
         assert all((r["eta_bar"] is None) == (r["t"] == r["window"] + 1) for r in rows)
-        for row in rows + result.sign_tests + result.proportions:
+        for row in rows + table(result, "sign_tests") + table(result, "proportions"):
             assert row["scenario"] == spec.name
 
     def test_null_scenario_has_no_systematic_jump(self):
@@ -202,24 +248,25 @@ class TestRunExperiment:
         # statistic at t* should be small relative to its spread across runs
         spec = tiny_spec(null=True)
         result = run_experiment(spec, methods=("cdp",), windows=(2,), runs=12, seed=11, N=20_000)
-        bar = [r["eta_bar"] for r in result.performance if r["t"] == 6]
+        eta, k = result.eta["cdp", 2], result.instants[2].index(6)
+        bar = eta[:, k] - eta[:, k - 1]
         iqr = np.subtract(*np.percentile(bar, [75, 25]))
         assert abs(np.median(bar)) < max(abs(iqr), 0.2)
 
     def test_single_run_is_degenerate_but_valid(self):
         spec = tiny_spec()
         result = run_experiment(spec, methods=("cdp", "act"), windows=(2,), runs=1, seed=2, N=500)
-        assert {r["run"] for r in result.performance} == {0}
-        for row in result.proportions:
+        assert result.eta["cdp", 2].shape[0] == result.eta["act", 2].shape[0] == 1
+        for row in table(result, "proportions"):
             assert row["proportion"] in (0.0, 1.0)
 
     def test_multiple_windows_give_one_block_each(self):
         spec = tiny_spec()
         result = run_experiment(spec, methods=("act",), windows=(1, 2, 3), runs=1, seed=4, N=500)
-        instants = {}
-        for r in result.performance:
-            instants.setdefault((r["method"], r["window"]), set()).add(r["t"])
-        assert instants == {("act", w): set(range(w + 1, 9)) for w in (1, 2, 3)}
+        assert result.instants == {w: range(w + 1, 9) for w in (1, 2, 3)}
+        assert {key: eta.shape for key, eta in result.eta.items()} == {
+            ("act", w): (1, 8 - w) for w in (1, 2, 3)
+        }
 
     def test_act_and_actm_share_one_activity_per_snapshot(self, monkeypatch):
         original = netchange.baselines.activity
