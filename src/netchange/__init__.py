@@ -41,7 +41,6 @@ from .errors import (
     NetchangeError,
     NotConverged,
     NotSymmetric,
-    UndefinedTest,
 )
 from .evaluation import (
     ExperimentResult,

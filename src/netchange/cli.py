@@ -418,7 +418,3 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(summary)
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -81,7 +81,7 @@ def _eigsorted(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[order], _fix_column_signs(vectors)
 
 
-def spectral_norm(M: np.ndarray, rng: np.random.Generator | None = None) -> float:
+def spectral_norm(M: np.ndarray, rng: np.random.Generator) -> float:
     """Largest absolute eigenvalue of a symmetric matrix by power iteration.
 
     `M` must be square and symmetric; this is not checked (`embed` checks
@@ -91,8 +91,6 @@ def spectral_norm(M: np.ndarray, rng: np.random.Generator | None = None) -> floa
     zero matrix returns 0.
     """
     M = np.asarray(M, dtype=float)
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = M.shape[0]
     v = rng.standard_normal(n)
     v /= math.sqrt(v.dot(v))
@@ -179,7 +177,8 @@ def _rank_from_spectrum(
 def embed(
     M: np.ndarray,
     epsilon: float = DEFAULT_RANK_EPSILON,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     t: int = 1,
 ) -> Embedding:
     """Embed a symmetric representation matrix into d dimensions.
@@ -193,8 +192,6 @@ def embed(
     M = _check_symmetric(M)
     if M.shape[0] < 2:
         raise ValueError(f"need at least 2 rows to embed, got {M.shape[0]}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     evals, evecs = _eigsorted(M)
     d = _rank_from_spectrum(M, evals, evecs, epsilon, rng)
     return Embedding(X=evecs[:, 1 : d + 1].copy(), t=t)

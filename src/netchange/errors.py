@@ -33,9 +33,5 @@ class EmptyPartition(NetchangeError):
     """A score partition needed for resampling is empty."""
 
 
-class UndefinedTest(NetchangeError):
-    """A statistical test has no informative observations (all ties)."""
-
-
 class FormatError(NetchangeError):
     """An input file does not conform to the documented edge-list format."""

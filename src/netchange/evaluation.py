@@ -23,7 +23,7 @@ import numpy as np
 from . import baselines
 from .dcsbm import ScenarioSpec, generate_sequence
 from .embedding import DEFAULT_RANK_EPSILON
-from .errors import EmptyPartition, UndefinedTest
+from .errors import EmptyPartition
 from .graph import SnapshotMatrix
 from .pipeline import DEFAULT_WINDOW, CdpConfig, ScoreSeries, cdp_scores, embed_snapshot, sweep
 
@@ -100,11 +100,12 @@ def _binom_tail_upper(n: int, k: int) -> float:
     return total / 2**n
 
 
-def sign_test(a: np.ndarray, b: np.ndarray, alternative: str = "greater") -> float:
+def sign_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Exact binomial sign test on paired observations; ties are dropped.
 
-    `alternative` is "greater" (a tends to exceed b), "less", or
-    "two_sided" (doubled smaller tail, capped at 1).
+    Returns the p-values for "a tends to exceed b", "a tends to fall below
+    b" and the two-sided alternative (doubled smaller tail, capped at 1),
+    in that order; all three are NaN when every pair is tied.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,24 +115,10 @@ def sign_test(a: np.ndarray, b: np.ndarray, alternative: str = "greater") -> flo
     diffs = diffs[diffs != 0.0]
     n = diffs.size
     if n == 0:
-        raise UndefinedTest("every pair is tied; the sign test is undefined")
+        return (math.nan,) * 3
     k = int(np.count_nonzero(diffs > 0))
-    if alternative == "greater":
-        return _binom_tail_upper(n, k)
-    if alternative == "less":
-        return _binom_tail_upper(n, n - k)
-    if alternative == "two_sided":
-        p = 2.0 * min(_binom_tail_upper(n, k), _binom_tail_upper(n, n - k))
-        return min(p, 1.0)
-    raise ValueError(f"unknown alternative {alternative!r}")
-
-
-def _sign_p(a: np.ndarray, b: np.ndarray, alternative: str) -> float:
-    """`sign_test`, with NaN where every pair is tied."""
-    try:
-        return sign_test(a, b, alternative)
-    except UndefinedTest:
-        return float("nan")
+    greater, less = _binom_tail_upper(n, k), _binom_tail_upper(n, n - k)
+    return greater, less, min(2.0 * min(greater, less), 1.0)
 
 
 @dataclass(frozen=True)
@@ -183,10 +170,8 @@ class ExperimentResult:
             for a, b in itertools.combinations(self.methods, 2):
                 eta_a, eta_b = self.eta[a, w][:, k], self.eta[b, w][:, k]
                 pair = (name, w, f"{a}_vs_{b}")
-                signs += [
-                    (*pair, alternative, _sign_p(eta_a, eta_b, alternative))
-                    for alternative in ("greater", "less", "two_sided")
-                ]
+                signs += [(*pair, alternative, p) for alternative, p in
+                          zip(("greater", "less", "two_sided"), sign_test(eta_a, eta_b))]
                 proportions += [
                     (*pair, relation, np.count_nonzero(op(eta_a, eta_b)) / eta_a.size)
                     for relation, op in (

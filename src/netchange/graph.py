@@ -6,9 +6,9 @@ adjacency matrices over a fixed vertex set.  Each snapshot is preprocessed
 degree-normalized to yield the representation matrix that downstream
 spectral embedding consumes.  All functions here are pure.  A snapshot is
 held as its nonzero upper triangle, so a sparse sequence costs memory in
-proportion to its edges, not to T * n^2; the dense matrix is built on
-demand, read-only, and every stored array is read-only too, so values can
-be shared freely.
+proportion to its edges, not to T * n^2.  The stored arrays are read-only,
+so snapshots can be shared freely; the dense matrix is built on demand,
+a new writable array on every access.
 """
 
 from __future__ import annotations
@@ -104,13 +104,7 @@ class SnapshotMatrix:
 
     @property
     def W(self) -> np.ndarray:
-        """The dense n x n symmetric matrix: a new read-only array per access."""
-        W = self._dense()
-        W.flags.writeable = False
-        return W
-
-    def _dense(self) -> np.ndarray:
-        """A new writable dense n x n array filled from the stored edges."""
+        """The dense n x n symmetric matrix: a new writable array per access."""
         rows, cols, weights = self.edges
         W = np.zeros((self.n, self.n))
         W[rows, cols] = weights
@@ -130,7 +124,7 @@ def representation_matrix(snapshot: SnapshotMatrix) -> np.ndarray:
     arrays are alive at once: the scaled matrix, M and a transposed copy of
     M.  Stored weights are nonnegative, so the log needs no sign check.
     """
-    scaled = snapshot._dense()
+    scaled = snapshot.W
     np.add(scaled, 1.0, out=scaled)
     np.log10(scaled, out=scaled)  # log10(w + 1) damps heavy edges; zero stays zero
     top = scaled.max(initial=0.0)

@@ -61,6 +61,25 @@ class TestIngest:
         with pytest.raises(FormatError):
             ingest_sequence(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 0 1 2\n1 0 1\n", "x.tsv:2: expected 't i j weight', got 3 fields"),
+            ("1 0 0.5 2\n",
+             "x.tsv:1: non-integer index: invalid literal for int() with base 10: '0.5'"),
+            ("0 0 1 2\n", "x.tsv:1: time index must be >= 1, got 0"),
+            ("1 -1 1 2\n", "x.tsv:1: vertex indices must be >= 0"),
+            ("1 0 1 inf\n", "x.tsv:1: weight must be finite"),
+            ("1 0 1 nan\n", "x.tsv:1: weight must be finite"),
+            ("# a comment\n\n# another\n", "x.tsv: no edges found"),
+        ],
+    )
+    def test_malformed_line_rejected_with_message(self, tmp_path, text, message):
+        path = write(tmp_path / "x.tsv", text)
+        with pytest.raises(FormatError) as caught:
+            ingest_sequence(path)
+        assert str(caught.value) == message
+
     def test_negative_weight_names_line(self, tmp_path):
         path = write(tmp_path / "e.tsv", "1 0 1 2\n1 1 2 -3\n")
         with pytest.raises(FormatError, match=r"e.tsv:2: weight must be nonnegative"):
@@ -415,6 +434,25 @@ class TestEvaluateCommand:
         assert digest("performance.csv", 8) == (
             "b3a05b56b946a60740b71139e0a8c4db4460eca9c15cf5999dec04f26756a2f6"
         )
+
+    def test_all_tied_runs_give_nan_p_values(self, tmp_path):
+        # one phi sample clamps every phi to 1/2, so every eta is 0 and every pair ties
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--scenario", "group-change", "--scale", "0.1",
+                "--methods", "act,actm", "--windows", "1,5", "--runs", "2",
+                "--phi-samples", "1", "--out", str(out)]
+        assert main(argv) == 0
+
+        def rows(name):
+            with open(out / name, newline="", encoding="utf-8") as f:
+                return list(csv.DictReader(f))
+
+        signs = rows("sign_tests.csv")
+        assert [r["alternative"] for r in signs] == ["greater", "less", "two_sided"] * 2
+        assert all(r["p_value"] == "nan" for r in signs)
+        equal = [r for r in rows("proportions.csv") if r["relation"] == "equal"]
+        assert len(equal) == 2 and all(float(r["proportion"]) == 1.0 for r in equal)
+        assert {r["eta"] for r in rows("performance.csv")} == {"0.0"}
 
     def test_unknown_method_fails(self, tmp_path, capsys):
         code = main(

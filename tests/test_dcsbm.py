@@ -229,6 +229,17 @@ class TestScenario:
         with pytest.raises(ValueError):
             scenario("implode")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"change_type": "sustained"}, "unknown change type 'sustained'"),
+            ({"scale": 0.005}, "rounds the paired models to different sizes (6 vs 5)"),
+        ],
+    )
+    def test_rejection_names_its_cause(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scenario("group-change", **kwargs)
+
     def test_paired_models_share_fixed_parameters(self):
         from netchange.dcsbm import SCENARIO_NAMES
 

@@ -2,6 +2,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "netchange"
 # Names that numpy gained in 2.0: the transpose of the last two axes.
@@ -51,3 +53,23 @@ def test_package_runs_on_declared_numpy():
                  for path in sorted(PACKAGE.glob("*.py"))
                  for line, name in numpy2_names(path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+def python_floor():
+    """The (major, minor) of `requires-python` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)', text).groups()
+    return int(major), int(minor)
+
+
+def test_python_floor_guard_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+def test_package_parses_on_declared_python():
+    # tests run on one interpreter; the declared floor is what users may have
+    floor = python_floor()
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=floor)

@@ -8,7 +8,6 @@ import netchange.baselines
 import netchange.evaluation
 from netchange import (
     EmptyPartition,
-    UndefinedTest,
     estimate_phi,
     log_odds,
     run_experiment,
@@ -85,12 +84,14 @@ class TestSignTest:
     def test_all_positive_ten_pairs(self):
         a = np.arange(10.0) + 1.0
         b = np.zeros(10)
-        assert sign_test(a, b, "greater") == pytest.approx(0.5**10, abs=1e-18)
+        greater, _, _ = sign_test(a, b)
+        assert greater == pytest.approx(0.5**10, abs=1e-18)
 
     def test_two_sided_at_median_is_one(self):
         a = np.array([1.0] * 5 + [-1.0] * 5)
         b = np.zeros(10)
-        assert sign_test(a, b, "two_sided") == 1.0
+        _, _, two_sided = sign_test(a, b)
+        assert two_sided == 1.0
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(4)
@@ -98,19 +99,21 @@ class TestSignTest:
             n = int(rng.integers(3, 11))
             diffs = rng.standard_normal(n)
             signs = np.sign(diffs)
-            for alternative in ("greater", "less"):
+            got = sign_test(diffs, np.zeros(n))
+            for alternative, p in zip(("greater", "less"), got):
                 expected = enumerated_sign_test(signs, alternative)
-                got = sign_test(diffs, np.zeros(n), alternative)
-                assert got == pytest.approx(expected, abs=1e-12)
+                assert p == pytest.approx(expected, abs=1e-12)
+            assert got[2] == min(2.0 * min(got[:2]), 1.0)
 
     def test_ties_dropped(self):
         a = np.array([2.0, 2.0, 3.0, 4.0])
         b = np.array([2.0, 2.0, 1.0, 1.0])
-        assert sign_test(a, b, "greater") == pytest.approx(0.25, abs=1e-15)
+        greater, _, _ = sign_test(a, b)
+        assert greater == pytest.approx(0.25, abs=1e-15)
 
-    def test_all_ties_undefined(self):
-        with pytest.raises(UndefinedTest):
-            sign_test(np.ones(4), np.ones(4))
+    def test_all_ties_give_nan_triple(self):
+        p = sign_test(np.ones(4), np.ones(4))
+        assert len(p) == 3 and all(math.isnan(x) for x in p)
 
 
 def table(result, name):

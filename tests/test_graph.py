@@ -68,10 +68,12 @@ class TestSnapshotMatrix:
         with pytest.raises(ValueError):
             SnapshotMatrix(W=np.array([[0.0]]))
 
-    def test_array_is_locked(self):
+    def test_write_to_dense_leaves_snapshot_unchanged(self):
         snap = SnapshotMatrix(W=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            snap.W[0, 1] = 2.0
+        W = snap.W
+        W[0, 1] = 2.0
+        assert [a.tolist() for a in snap.edges] == [[0], [1], [1.0]]
+        assert np.array_equal(snap.W, [[0.0, 1.0], [1.0, 0.0]])
 
     @staticmethod
     def irregular_matrix():
@@ -92,11 +94,11 @@ class TestSnapshotMatrix:
         assert snap.n == 7 and snap.t == 4
         assert not np.any(snap.W[3]) and snap.W[5, 5] == 0.3
 
-    def test_each_access_is_a_fresh_read_only_array(self):
+    def test_each_access_is_a_fresh_writable_array(self):
         snap = SnapshotMatrix(self.irregular_matrix())
         first = snap.W
         assert first is not snap.W
-        assert not first.flags.writeable
+        assert first.flags.writeable
         assert not any(a.flags.writeable for a in snap.edges)
 
     def test_edges_are_the_upper_triangle_in_row_major_order(self):

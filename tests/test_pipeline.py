@@ -227,6 +227,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="windows must be >= 1"):
             sweep(snapshots, activity, {"actm": actm_scores}, windows)
 
+    @pytest.mark.parametrize("odd_one", [0, 3])
+    def test_mixed_vertex_counts_rejected(self, odd_one):
+        snapshots = [fixed_snapshot(12 if t == odd_one + 1 else 10, seed=t, t=t)
+                     for t in range(1, 5)]
+        with pytest.raises(ValueError, match="all snapshots must share the same vertex count"):
+            sweep(snapshots, activity, {"actm": actm_scores}, (1,))
+
     def test_actm_multi_window_matches_single_window_runs(self):
         snapshots = [fixed_snapshot(15, seed=50 + t, t=t) for t in range(1, 9)]
         swept = sweep(snapshots, activity, {"actm": actm_scores}, self.WINDOWS)
