@@ -10,8 +10,9 @@ duplicates are rejected.  Missing pairs have weight zero.
 
 Every command writes a ``manifest.json`` recording the merged
 configuration, input/output paths, seed, per-stage wall-clock timings, and
-the tool version.  A flat ``key = value`` config file can pre-set any flag;
-explicit flags win.
+the tool version; ``evaluate`` adds its worker count and the peak resident
+memory of itself and of its largest worker.  A flat ``key = value`` config
+file can pre-set any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .evaluation import (
     METHODS,
     run_experiment,
     score_sequence,
+    worker_count,
 )
 from .graph import MAX_VERTICES, SnapshotMatrix
 from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, ScoreSeries
@@ -203,9 +205,12 @@ class _Stage:
 
 def write_manifest(
     out_dir: Path, args: argparse.Namespace, inputs: list[str], outputs: list[str],
-    stages: _Stage,
+    stages: _Stage, extra: dict,
 ) -> None:
-    """Write `out_dir/manifest.json`; `outputs` are file names inside `out_dir`."""
+    """Write `out_dir/manifest.json`; `outputs` are file names inside `out_dir`.
+
+    `extra` holds a command's own entries, written after the common ones.
+    """
     skip = {"func", "command", "config"}
     manifest = {
         "command": args.command,
@@ -215,6 +220,7 @@ def write_manifest(
         "outputs": sorted(str(out_dir / name) for name in outputs),
         "seed": args.seed,
         "stages": stages.records,
+        **extra,
     }
     text = json.dumps(manifest, indent=2) + "\n"
     (out_dir / "manifest.json").write_text(text, encoding="utf-8")
@@ -226,7 +232,7 @@ def _scenario_spec(args) -> ScenarioSpec:
 
 # ---------------------------------------------------------------------------
 # commands: each runs its stages into `out` and returns
-# (input paths, output file names, summary line)
+# (input paths, output file names, summary line, its own manifest entries)
 
 
 def cmd_simulate(args, out: Path, stages: _Stage):
@@ -238,7 +244,7 @@ def cmd_simulate(args, out: Path, stages: _Stage):
         write_sequence(out / "sequence.tsv", snapshots)
         write_ground_truth(out / "ground_truth.json", spec)
     summary = f"wrote {spec.T} snapshots (n={spec.n}) to {out / 'sequence.tsv'}"
-    return [], ["sequence.tsv", "ground_truth.json"], summary
+    return [], ["sequence.tsv", "ground_truth.json"], summary, {}
 
 
 class _ScoreRows:
@@ -280,7 +286,16 @@ def cmd_detect(args, out: Path, stages: _Stage):
         f"scored {len(series.instants)} instants with {method}; {sum(flagged)} detections, "
         f"max per-instant fraction {max(flagged) / snapshots[0].n:.4f}"
     )
-    return [str(args.input)], ["scores.csv", "dims.csv"], summary
+    return [str(args.input)], ["scores.csv", "dims.csv"], summary, {}
+
+
+def _peak_rss_mb() -> tuple[float, float]:
+    """Peak resident memory in MB of this process and of its largest exited child."""
+    import resource
+
+    unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in bytes on macOS
+    return tuple(round(resource.getrusage(who).ru_maxrss / unit, 1)
+                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def cmd_evaluate(args, out: Path, stages: _Stage):
@@ -304,7 +319,11 @@ def cmd_evaluate(args, out: Path, stages: _Stage):
         f"evaluated {spec.name} over {args.runs} runs, "
         f"methods={','.join(methods)}, windows={args.windows}"
     )
-    return [], [f"{name}.csv" for name in tables], summary
+    workers = worker_count(args.runs)
+    peak, worker_peak = _peak_rss_mb()
+    resources = {"workers": workers, "peak_rss_mb": peak,
+                 "worker_peak_rss_mb": worker_peak if workers > 1 else None}
+    return [], [f"{name}.csv" for name in tables], summary, resources
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
-        inputs, outputs, summary = args.func(args, out, stages)
-        write_manifest(out, args, inputs, outputs, stages)
+        inputs, outputs, summary, extra = args.func(args, out, stages)
+        write_manifest(out, args, inputs, outputs, stages, extra)
     except (NetchangeError, ValueError, OSError, MemoryError) as exc:
         with contextlib.suppress(OSError):  # rmdir stops at the first non-empty one
             for d in made:

@@ -14,8 +14,10 @@ transitions.  Runs are repeated with independently derived seeds
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +202,89 @@ def _phi_rng(seed: int, method: str, window: int) -> np.random.Generator:
     )
 
 
+def _score_run(
+    spec: ScenarioSpec,
+    methods: tuple[str, ...],
+    windows: tuple[int, ...],
+    N: int,
+    epsilon_rank: float,
+    rseed: int,
+) -> tuple[dict, tuple[dict, dict, dict, dict], dict]:
+    """One run: draw its sequence, score it with every method and window, measure phi.
+
+    Returns the scored instants by window; the run's phi, eta, flagged and
+    hits rows, each a dict by (method, w); and its seconds by (task, method).
+    It reads only its arguments, so a worker process computes what the
+    parent would.
+    """
+    changed, unchanged = spec.changed_vertices, spec.unchanged_vertices
+    snapshots = generate_sequence(spec, np.random.default_rng(rseed))
+    config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
+    instants, phi, eta, flagged, hits = {}, {}, {}, {}, {}
+    seconds: dict[tuple[str, str], list[float]] = {
+        (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
+    }
+    for (method, w), series in score_sequence(snapshots, config, methods, windows).items():
+        instants[w] = series.instants
+        if w == windows[0]:
+            seconds[("embedding", method)].extend(series.embed_seconds.tolist())
+        seconds[("profile_and_scores", method)].extend(series.score_seconds.tolist())
+        flagged[method, w] = series.detected.sum(axis=1)
+        hits[method, w] = series.detected[:, changed].sum(axis=1)
+        rng = _phi_rng(rseed, method, w)
+        phi[method, w], eta[method, w] = np.empty((2, len(series.instants)))
+        for k, z in enumerate(series.scores):
+            p = estimate_phi(z[changed], z[unchanged], N, rng)
+            phi[method, w][k], eta[method, w][k] = p, log_odds(p)
+    return instants, (phi, eta, flagged, hits), seconds
+
+
+def _thread_count() -> int:
+    """Threads this process runs, native ones included; 0 where that cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+def worker_count(runs: int) -> int:
+    """Processes that score `runs` runs: one per usable CPU, never more than runs.
+
+    Usable CPUs are the ones this process may run on (`taskset` narrows
+    them); a cgroup CPU quota is not read.  It is 1 without `fork`, and
+    while this process runs more than its one thread: a multi-threaded BLAS
+    would run its threads again in every worker, and the workers would
+    crowd each other off the CPUs (on two CPUs, a 6-run study at n=300
+    took 39-64 s that way against 5 s in one process).
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _thread_count() != 1:
+        return 1
+    return min(runs, len(os.sched_getaffinity(0)))
+
+
+def _map_in_workers(fn, items: list, workers: int) -> list:
+    """`list(map(fn, items))`, computed in `workers` forked processes.
+
+    The first call to raise ends the map with its exception, and the items
+    not yet started are dropped; a worker that dies ends it with
+    `ChildProcessError`.  Every worker has exited when this returns.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        for future in as_completed(futures):
+            future.result()
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(
     spec: ScenarioSpec,
     methods: tuple[str, ...] = METHODS,
@@ -213,7 +298,8 @@ def run_experiment(
 
     Every run draws a fresh sequence; all methods and windows score the same
     sequence so cross-method comparisons are paired.  Every check of the
-    arguments comes before the first run is drawn.
+    arguments comes before the first run is drawn.  Runs are scored in
+    `worker_count(runs)` processes; the result does not depend on how many.
     """
     methods = _ordered_methods(methods)
     windows = tuple(sorted(set(windows)))
@@ -229,31 +315,18 @@ def run_experiment(
         raise ValueError(f"phi sample count N must be >= 1, got {N}")
     if windows[-1] >= spec.change.start:
         raise ValueError(f"window {windows[-1]} must be smaller than t*={spec.change.start}")
-    changed, unchanged = spec.changed_vertices, spec.unchanged_vertices
 
-    instants, phi, eta, flagged, hits = {}, {}, {}, {}, {}
-    seconds: dict[tuple[str, str], list[float]] = {
-        (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
-    }
-    for run in range(runs):
-        rseed = run_seed(seed, run)
-        snapshots = generate_sequence(spec, np.random.default_rng(rseed))
-        config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
-        for (method, w), series in score_sequence(snapshots, config, methods, windows).items():
-            if run == 0:
-                instants[w] = series.instants
-                shape = (runs, len(series.instants))
-                phi[method, w], eta[method, w] = np.empty(shape), np.empty(shape)
-                flagged[method, w] = np.empty(shape, dtype=int)
-                hits[method, w] = np.empty(shape, dtype=int)
-            if w == windows[0]:
-                seconds[("embedding", method)].extend(series.embed_seconds.tolist())
-            seconds[("profile_and_scores", method)].extend(series.score_seconds.tolist())
-            flagged[method, w][run] = series.detected.sum(axis=1)
-            hits[method, w][run] = series.detected[:, changed].sum(axis=1)
-            rng = _phi_rng(rseed, method, w)
-            for k, z in enumerate(series.scores):
-                p = estimate_phi(z[changed], z[unchanged], N, rng)
-                phi[method, w][run, k], eta[method, w][run, k] = p, log_odds(p)
+    score_run = functools.partial(_score_run, spec, methods, windows, N, epsilon_rank)
+    rseeds = [run_seed(seed, run) for run in range(runs)]
+    workers = worker_count(runs)
+    per_run = (list(map(score_run, rseeds)) if workers == 1
+               else _map_in_workers(score_run, rseeds, workers))
 
+    instants = per_run[0][0]
+    phi, eta, flagged, hits = (
+        {key: np.stack([row[key] for row in field]) for key in field[0]}
+        for field in zip(*(rows for _, rows, _ in per_run))
+    )
+    seconds = {key: [s for *_, run_seconds in per_run for s in run_seconds[key]]
+               for key in per_run[0][2]}
     return ExperimentResult(spec, methods, windows, instants, phi, eta, flagged, hits, seconds)

@@ -1,16 +1,19 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netchange import FormatError, SnapshotMatrix, __version__
+import netchange.evaluation
+from netchange import EmptyGraph, FormatError, SnapshotMatrix, __version__, run_experiment, scenario
 from netchange.baselines import activity
 from netchange.cli import (
     ingest_sequence,
@@ -481,6 +484,72 @@ class TestEvaluateCommand:
         assert "--windows" in err and "'1,,5'" in err
 
 
+def fail_run_1(monkeypatch, tmp_path, fail):
+    """Run 1 of a seed-0 experiment calls `fail`; every other run takes 0.5 s more.
+
+    Returns the file where each run writes its index as it starts.
+    """
+    started = tmp_path / "started"
+    original = netchange.evaluation.score_sequence
+
+    def patched(snapshots, config, *args):
+        with open(started, "a", encoding="utf-8") as f:
+            f.write(f"{config.seed}\n")  # run seed = 0 XOR run index
+        if config.seed == 1:
+            fail()
+        time.sleep(0.5)
+        return original(snapshots, config, *args)
+
+    monkeypatch.setattr(netchange.evaluation, "score_sequence", patched)
+    return started
+
+
+def raise_empty_graph():
+    raise EmptyGraph("snapshot at t=3 has no edges")
+
+
+class TestEvaluateInWorkers:
+    """A run that fails in a worker process ends the command in one line."""
+
+    ARGV = ["evaluate", "--scenario", "group-change", "--scale", "0.1", "--T", "24",
+            "--methods", "act", "--windows", "1", "--runs", "4", "--phi-samples", "100",
+            "--seed", "0"]
+
+    def test_raising_run_fails_the_stage(self, monkeypatch, tmp_path, capsys, usable_cpus):
+        usable_cpus(2)
+        fail_run_1(monkeypatch, tmp_path, raise_empty_graph)
+        out = tmp_path / "ev"
+        assert main([*self.ARGV, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "netchange evaluate: stage 'experiment' failed: snapshot at t=3 has no edges\n"
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_raising_run_keeps_its_type_and_cancels_the_rest(
+        self, monkeypatch, tmp_path, usable_cpus
+    ):
+        usable_cpus(2)
+        started = fail_run_1(monkeypatch, tmp_path, raise_empty_graph)
+        spec = scenario("group-change", scale=0.1, T=24)
+        with pytest.raises(EmptyGraph, match="t=3 has no edges"):
+            run_experiment(spec, methods=("act",), windows=(1,), runs=8, seed=0, N=100)
+        assert multiprocessing.active_children() == []
+        # the runs already handed to a worker finish; the others never start
+        assert len(started.read_text().split()) < 8
+
+    def test_dead_worker_fails_the_stage(self, monkeypatch, tmp_path, capsys, usable_cpus):
+        usable_cpus(2)
+        fail_run_1(monkeypatch, tmp_path, lambda: os._exit(3))
+        out = tmp_path / "ev"
+        assert main([*self.ARGV, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("netchange evaluate: stage 'experiment' failed: ")
+        assert "terminated abruptly" in err and err.count("\n") == 1
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -500,10 +569,11 @@ class TestManifest:
     """The manifest each command writes: keys, order and contents."""
 
     KEYS = ["command", "version", "config", "inputs", "outputs", "seed", "stages"]
+    EVALUATE_KEYS = ["workers", "peak_rss_mb", "worker_peak_rss_mb"]
 
-    def read(self, out):
+    def read(self, out, extra=()):
         manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest) == self.KEYS
+        assert list(manifest) == [*self.KEYS, *extra]
         assert manifest["version"] == __version__
         return manifest
 
@@ -547,7 +617,7 @@ class TestManifest:
                 "--methods", "act", "--windows", "1", "--runs", "1", "--phi-samples", "100",
                 "--seed", "9", "--out", str(out)]
         assert main(argv) == 0
-        manifest = self.read(out)
+        manifest = self.read(out, self.EVALUATE_KEYS)
         assert manifest["command"] == "evaluate"
         assert list(manifest["config"]) == [
             "T", "change_type", "epsilon", "methods", "out", "phi_samples", "runs",
@@ -563,6 +633,19 @@ class TestManifest:
         assert [s["stage"] for s in manifest["stages"]] == [
             "build-scenario", "experiment", "write",
         ]
+        assert manifest["workers"] == 1 and manifest["worker_peak_rss_mb"] is None
+        assert manifest["peak_rss_mb"] > 0
+
+    def test_evaluate_records_its_workers(self, tmp_path, usable_cpus):
+        usable_cpus(2)
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--scenario", "group-change", "--scale", "0.1", "--T", "24",
+                "--methods", "act", "--windows", "1", "--runs", "3", "--phi-samples", "100",
+                "--out", str(out)]
+        assert main(argv) == 0
+        manifest = self.read(out, self.EVALUATE_KEYS)
+        assert manifest["workers"] == 2
+        assert manifest["peak_rss_mb"] > 0 and manifest["worker_peak_rss_mb"] > 0
 
     @pytest.mark.parametrize(
         "argv, stage",

@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,15 @@ def test_package_parses_on_declared_python():
     floor = python_floor()
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=floor)
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # evaluate imports them only when it starts worker processes; loading
+    # them with the package would add to every command's start-up time
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import netchange.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout
+    assert loaded.strip() == "[]"

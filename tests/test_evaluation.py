@@ -1,5 +1,9 @@
+import concurrent.futures
 import itertools
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from netchange import (
     sign_test,
 )
 from netchange.dcsbm import ScenarioSpec, catalog, generate_sequence
-from netchange.evaluation import METHODS, run_seed, score_sequence
+from netchange.evaluation import METHODS, run_seed, score_sequence, worker_count
 from netchange.pipeline import CdpConfig
 
 
@@ -287,3 +291,88 @@ class TestRunExperiment:
     def test_run_seed_is_xor(self):
         assert run_seed(12, 0) == 12
         assert run_seed(12, 5) == 12 ^ 5
+
+
+class TestWorkers:
+    def test_pooled_runs_equal_in_process_runs(self, monkeypatch, tmp_path, usable_cpus):
+        pids = tmp_path / "pids"
+        original = netchange.evaluation.generate_sequence
+
+        def recording(*args):
+            with open(pids, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            return original(*args)
+
+        monkeypatch.setattr(netchange.evaluation, "generate_sequence", recording)
+        kwargs = dict(methods=METHODS, windows=(1, 2), runs=3, seed=5, N=2000)
+        results = {}
+        for cpus in (3, 1):
+            usable_cpus(cpus)
+            results[cpus] = run_experiment(tiny_spec(), **kwargs)
+            drawn_by = set(pids.read_text().split())
+            assert (str(os.getpid()) in drawn_by) == (cpus == 1) and len(drawn_by) <= cpus
+            pids.unlink()
+        pooled, in_process = results[3], results[1]
+        assert multiprocessing.active_children() == []
+        assert pooled.instants == in_process.instants
+        for field in ("phi", "eta", "flagged", "hits"):
+            arrays, expected = getattr(pooled, field), getattr(in_process, field)
+            assert list(arrays) == list(expected)
+            assert all(np.array_equal(arrays[key], expected[key]) for key in expected)
+        tables, expected = pooled.tables(), in_process.tables()
+        for name in ("performance", "sign_tests", "proportions"):
+            assert tables[name] == expected[name]
+        # timings hold measured seconds: same rows, other values
+        header, rows = tables["timings"]
+        assert header == expected["timings"][0]
+        assert [row[:3] for row in rows] == [row[:3] for row in expected["timings"][1]]
+        assert [len(s) for s in pooled.seconds.values()] == [
+            len(s) for s in in_process.seconds.values()]
+
+    @pytest.mark.parametrize("cpus, runs, workers", [(1, 5, 1), (2, 1, 1), (2, 5, 2), (64, 3, 3)])
+    def test_worker_count_is_runs_capped_by_cpus(self, usable_cpus, cpus, runs, workers):
+        usable_cpus(cpus)
+        assert worker_count(runs) == workers
+
+    def test_one_worker_without_fork(self, monkeypatch, usable_cpus):
+        usable_cpus(8)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert worker_count(4) == 1
+
+    def test_one_worker_beside_other_threads(self, monkeypatch, usable_cpus):
+        # a BLAS with threads of its own would run them in every worker
+        usable_cpus(8)
+        monkeypatch.setattr(netchange.evaluation, "_thread_count", lambda: 3)
+        assert worker_count(4) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads read from /proc")
+    def test_thread_count_sees_a_new_thread(self):
+        before, stop = netchange.evaluation._thread_count(), threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert netchange.evaluation._thread_count() == before + 1
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_pool_never_exceeds_the_runs(self, monkeypatch, usable_cpus):
+        # an in-process stand-in records the pool size without starting processes
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                assert cancel_futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        usable_cpus(64)
+        run_experiment(tiny_spec(), methods=("act",), windows=(2,), runs=3, N=100)
+        assert sizes == [3]

@@ -37,6 +37,8 @@ def readme_commands() -> list[list[str]]:
     for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"[A-Z_]+=\S*", words[0]):  # an environment setting
+                words = words[1:]
             if words[:2] in COMMANDS:
                 commands.append(words[1:])
     return commands
@@ -44,7 +46,7 @@ def readme_commands() -> list[list[str]]:
 
 def test_readme_commands_parse():
     commands = readme_commands()
-    assert len(commands) == 4
+    assert len(commands) == 5
     for argv in commands:
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]

@@ -129,3 +129,18 @@ def test_evaluate_records_every_layer(tmp_path):
     for attrs in gpa:
         assert type(attrs["passes"]) is int and attrs["passes"] >= 1
         assert type(attrs["converged"]) is bool
+
+
+def test_traced_evaluate_in_one_process_records_every_layer(tmp_path, usable_cpus):
+    # Spans recorded in a worker process stay there, so a traced call that
+    # should see every run sees one usable CPU and scores its runs in-process.
+    usable_cpus(1)
+    spans = traced(
+        ["evaluate", "--scenario", "group-change", "--scale", "0.1",
+         "--methods", "cdp,act,actm", "--windows", "1,2", "--runs", "2",
+         "--phi-samples", "1000", "--out", str(tmp_path / "ev")]
+    )
+    counts = layer_counts(spans)
+    for layer in EVALUATE_LAYERS:
+        assert counts.get(layer, 0) > 0, layer
+    assert counts["dcsbm.generate"] == 2
