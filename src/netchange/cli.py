@@ -47,7 +47,6 @@ from .evaluation import (
     METHODS,
     run_experiment,
     score_sequence,
-    worker_count,
 )
 from .graph import MAX_VERTICES, SnapshotMatrix
 from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, ScoreSeries
@@ -319,10 +318,9 @@ def cmd_evaluate(args, out: Path, stages: _Stage):
         f"evaluated {spec.name} over {args.runs} runs, "
         f"methods={','.join(methods)}, windows={args.windows}"
     )
-    workers = worker_count(args.runs)
     peak, worker_peak = _peak_rss_mb()
-    resources = {"workers": workers, "peak_rss_mb": peak,
-                 "worker_peak_rss_mb": worker_peak if workers > 1 else None}
+    resources = {"workers": result.workers, "peak_rss_mb": peak,
+                 "worker_peak_rss_mb": worker_peak if result.workers > 1 else None}
     return [], [f"{name}.csv" for name in tables], summary, resources
 
 

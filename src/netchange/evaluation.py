@@ -131,7 +131,8 @@ class ExperimentResult:
     arrays whose column k belongs to time index `instants[w][k]`: the
     exceedance probability, its log odds, the count of vertices with
     z-score above the detection threshold, and how many of those changed.
-    `seconds[(task, method)]` holds per-instant seconds over every run.
+    `seconds[(task, method)]` holds per-instant seconds over every run, and
+    `workers` is the number of processes that scored the runs.
     """
 
     spec: ScenarioSpec
@@ -143,6 +144,7 @@ class ExperimentResult:
     flagged: dict[tuple[str, int], np.ndarray]
     hits: dict[tuple[str, int], np.ndarray]
     seconds: dict[tuple[str, str], list[float]]
+    workers: int
 
     def tables(self) -> dict[str, tuple[list[str], list[tuple]]]:
         """The tables `evaluate` writes, by name: a header and its rows.
@@ -209,23 +211,22 @@ def _score_run(
     N: int,
     epsilon_rank: float,
     rseed: int,
-) -> tuple[dict, tuple[dict, dict, dict, dict], dict]:
+) -> tuple[tuple[dict, dict, dict, dict], dict]:
     """One run: draw its sequence, score it with every method and window, measure phi.
 
-    Returns the scored instants by window; the run's phi, eta, flagged and
-    hits rows, each a dict by (method, w); and its seconds by (task, method).
+    Returns the run's phi, eta, flagged and hits rows, each a dict by
+    (method, w), and its seconds by (task, method).
     It reads only its arguments, so a worker process computes what the
     parent would.
     """
     changed, unchanged = spec.changed_vertices, spec.unchanged_vertices
     snapshots = generate_sequence(spec, np.random.default_rng(rseed))
     config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
-    instants, phi, eta, flagged, hits = {}, {}, {}, {}, {}
+    phi, eta, flagged, hits = {}, {}, {}, {}
     seconds: dict[tuple[str, str], list[float]] = {
         (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
     }
     for (method, w), series in score_sequence(snapshots, config, methods, windows).items():
-        instants[w] = series.instants
         if w == windows[0]:
             seconds[("embedding", method)].extend(series.embed_seconds.tolist())
         seconds[("profile_and_scores", method)].extend(series.score_seconds.tolist())
@@ -236,7 +237,7 @@ def _score_run(
         for k, z in enumerate(series.scores):
             p = estimate_phi(z[changed], z[unchanged], N, rng)
             phi[method, w][k], eta[method, w][k] = p, log_odds(p)
-    return instants, (phi, eta, flagged, hits), seconds
+    return (phi, eta, flagged, hits), seconds
 
 
 def _thread_count() -> int:
@@ -299,7 +300,7 @@ def run_experiment(
     Every run draws a fresh sequence; all methods and windows score the same
     sequence so cross-method comparisons are paired.  Every check of the
     arguments comes before the first run is drawn.  Runs are scored in
-    `worker_count(runs)` processes; the result does not depend on how many.
+    `worker_count(runs)` processes, recorded in `workers`; no other field depends on how many.
     """
     methods = _ordered_methods(methods)
     windows = tuple(sorted(set(windows)))
@@ -322,11 +323,12 @@ def run_experiment(
     per_run = (list(map(score_run, rseeds)) if workers == 1
                else _map_in_workers(score_run, rseeds, workers))
 
-    instants = per_run[0][0]
+    instants = {w: range(w + 1, spec.T + 1) for w in windows}
     phi, eta, flagged, hits = (
         {key: np.stack([row[key] for row in field]) for key in field[0]}
-        for field in zip(*(rows for _, rows, _ in per_run))
+        for field in zip(*(rows for rows, _ in per_run))
     )
-    seconds = {key: [s for *_, run_seconds in per_run for s in run_seconds[key]]
-               for key in per_run[0][2]}
-    return ExperimentResult(spec, methods, windows, instants, phi, eta, flagged, hits, seconds)
+    seconds = {key: [s for _, run_seconds in per_run for s in run_seconds[key]]
+               for key in per_run[0][1]}
+    return ExperimentResult(spec, methods, windows, instants, phi, eta, flagged, hits, seconds,
+                            workers)

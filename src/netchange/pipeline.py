@@ -1,19 +1,20 @@
 """End-to-end change detection over a snapshot sequence.
 
-Every snapshot is embedded; from instant w+1 onwards the previous w
-embeddings are aligned into a window profile, the current embedding is
-scored against it, and the scores are normalized into z-scores with a
-detection threshold.  Each snapshot's randomized rank selection draws from
-a generator seeded by (config seed, time index), so results are
-bit-reproducible for a fixed configuration.  The same sweep serves the
-activity-vector baselines: it extracts one feature per snapshot and scores
-every method and window that share that feature in a single pass.
+A sweep runs in two passes.  The first embeds every snapshot; each
+snapshot's randomized rank selection draws from a generator seeded by
+(config seed, time index), so its embedding depends on nothing else and
+results are bit-reproducible for a fixed configuration.  The second scores
+each (method, window) series from that list: from instant w+1 onwards the
+previous w embeddings are aligned into a window profile, the current
+embedding is scored against it, and the scores are normalized into
+z-scores with a detection threshold.  The same sweep serves the
+activity-vector baselines, whose feature is one activity vector per
+snapshot.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -132,13 +133,13 @@ def sweep(
 ) -> dict[tuple[str, int], ScoreSeries]:
     """Score a sequence under every method and window that share one feature.
 
-    `extract` runs once per snapshot and returns its feature, an Embedding
-    (an activity vector is a one-column one); only the last max(windows)
-    features are kept.  At every instant with at least w earlier features,
-    each scorer compares the current feature with the w before it; its
-    scores must be finite and nonnegative, and are normalized.  Returns one
-    series per (method, window); the series of one sweep share one array of
-    the feature dimension and one of the extraction seconds of every
+    The first pass runs `extract` once per snapshot and keeps every feature,
+    an Embedding (an activity vector is a one-column one).  The second
+    scores each (method, w) series: at every instant with at least w earlier
+    features, the scorer compares the current feature with the w before it;
+    its scores must be finite and nonnegative, and are normalized.  Returns
+    one series per (method, window); the series of one sweep share one array
+    of the feature dimension and one of the extraction seconds of every
     instant.  Time indices must be consecutive: a missing instant would
     otherwise be profiled against the wrong past.
     """
@@ -155,34 +156,28 @@ def sweep(
                 f"time indices must be consecutive: expected t={prev.t + 1} "
                 f"after t={prev.t}, got t={snap.t}"
             )
-    T, n, first = len(snapshots), snapshots[0].n, snapshots[0].t
-    dims, embed_seconds = np.empty(T, dtype=int), np.empty(T)
-    out = {
-        (method, w): ScoreSeries(
-            range(first + w, first + T), np.empty((T - w, n)), np.empty((T - w, n)),
-            np.empty((T - w, n), dtype=bool), np.empty(T - w, dtype=bool), np.empty(T - w),
-            dims, embed_seconds,
-        )
-        for method in scorers for w in windows
-    }
-    recent = deque(maxlen=depth)
-    for k, snap in enumerate(snapshots):
+    features, embed_seconds = [], []
+    for snap in snapshots:
         start = time.perf_counter()
         try:
-            feature = extract(snap)
+            features.append(extract(snap))
         except EmptyGraph as exc:
             raise EmptyGraph(f"snapshot t={snap.t} has no edges: {exc}") from exc
-        embed_seconds[k] = time.perf_counter() - start
-        dims[k] = feature.d
-        for (method, w), series in out.items():
-            if k < w:
-                continue
-            start = time.perf_counter()
-            score = ScoreVector(z=scorers[method](list(recent)[-w:], feature), t=snap.t)
-            series.scores[k - w] = score.z
-            series.zscores[k - w], series.detected[k - w], series.degenerate[k - w] = (
-                normalize_and_detect(score, threshold)
-            )
-            series.score_seconds[k - w] = time.perf_counter() - start
-        recent.append(feature)
-    return out
+        embed_seconds.append(time.perf_counter() - start)
+    dims, embed_seconds = np.array([f.d for f in features]), np.array(embed_seconds)
+
+    def scored(score_window, w, k):
+        """Row k - w of a series: scores, z-scores, detections, degenerate flag, seconds."""
+        start = time.perf_counter()
+        score = ScoreVector(z=score_window(features[k - w : k], features[k]), t=snapshots[k].t)
+        return score.z, *normalize_and_detect(score, threshold), time.perf_counter() - start
+
+    T, first = len(snapshots), snapshots[0].t
+    return {
+        (method, w): ScoreSeries(
+            range(first + w, first + T),
+            *map(np.array, zip(*(scored(score_window, w, k) for k in range(w, T)))),
+            dims, embed_seconds,
+        )
+        for method, score_window in scorers.items() for w in windows
+    }

@@ -636,8 +636,19 @@ class TestManifest:
         assert manifest["workers"] == 1 and manifest["worker_peak_rss_mb"] is None
         assert manifest["peak_rss_mb"] > 0
 
-    def test_evaluate_records_its_workers(self, tmp_path, usable_cpus):
+    def test_evaluate_records_its_workers(self, monkeypatch, tmp_path, usable_cpus):
         usable_cpus(2)
+        # a thread of the finished pool may outlive it: the count read afterwards
+        # is not the one the runs were scored with
+        threads, original = [1], netchange.evaluation._map_in_workers
+
+        def mapping(*args):
+            results = original(*args)
+            threads[0] = 2
+            return results
+
+        monkeypatch.setattr(netchange.evaluation, "_map_in_workers", mapping)
+        monkeypatch.setattr(netchange.evaluation, "_thread_count", lambda: threads[0])
         out = tmp_path / "ev"
         argv = ["evaluate", "--scenario", "group-change", "--scale", "0.1", "--T", "24",
                 "--methods", "act", "--windows", "1", "--runs", "3", "--phi-samples", "100",

@@ -10,6 +10,7 @@ import pytest
 
 import netchange.baselines
 import netchange.evaluation
+import netchange.pipeline
 from netchange import (
     EmptyPartition,
     estimate_phi,
@@ -275,17 +276,27 @@ class TestRunExperiment:
             ("act", w): (1, 8 - w) for w in (1, 2, 3)
         }
 
-    def test_act_and_actm_share_one_activity_per_snapshot(self, monkeypatch):
-        original = netchange.baselines.activity
+    @pytest.mark.parametrize(
+        "owner, name, methods",
+        [
+            (netchange.baselines, "activity", ("act", "actm")),
+            (netchange.pipeline, "embed", ("cdp",)),
+        ],
+        ids=["activity", "embedding"],
+    )
+    def test_each_feature_is_extracted_once_per_snapshot(self, monkeypatch, owner, name, methods):
+        # every window of every method sharing the feature scores the same list
+        original = getattr(owner, name)
         calls = []
 
-        def counting(snapshot, *args, **kwargs):
-            calls.append(snapshot.t)
-            return original(snapshot, *args, **kwargs)
+        def counting(*args, **kwargs):
+            feature = original(*args, **kwargs)
+            calls.append(feature.t)
+            return feature
 
-        monkeypatch.setattr(netchange.baselines, "activity", counting)
+        monkeypatch.setattr(owner, name, counting)
         spec = tiny_spec()
-        run_experiment(spec, methods=("act", "actm"), windows=(1, 2), runs=1, seed=0, N=100)
+        run_experiment(spec, methods=methods, windows=(1, 2), runs=1, seed=0, N=100)
         assert calls == list(range(1, spec.T + 1))
 
     def test_run_seed_is_xor(self):

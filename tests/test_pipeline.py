@@ -11,7 +11,6 @@ from netchange import (
     act_scores,
     activity,
     actm_scores,
-    cdp_scores,
     change_scores,
     generate_sequence,
     normalize_and_detect,
@@ -21,6 +20,7 @@ from netchange import (
     sweep,
 )
 from netchange.embedding import Embedding
+from netchange.evaluation import METHODS
 from netchange.pipeline import embed_snapshot
 
 
@@ -209,17 +209,16 @@ class TestSweep:
         assert np.array_equal(a.detected, b.detected)
         assert np.array_equal(a.dims, b.dims)
 
-    def test_cdp_multi_window_matches_single_window_runs(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_call_equals_single_window_calls(self, method):
         snapshots = [fixed_snapshot(15, seed=30 + t, t=t) for t in range(1, 9)]
         config = CdpConfig(seed=4)
-        swept = sweep(
-            snapshots, lambda s: embed_snapshot(s, config), {"cdp": cdp_scores}, self.WINDOWS
-        )
-        assert set(swept) == {("cdp", w) for w in self.WINDOWS}
+        swept = score_sequence(snapshots, config, METHODS, self.WINDOWS)
+        assert set(swept) == {(m, w) for m in METHODS for w in self.WINDOWS}
         for w in self.WINDOWS:
-            single = cdp_series(snapshots, w, seed=4)
+            single = score_sequence(snapshots, config, (method,), (w,))[(method, w)]
             assert single.instants == range(w + 1, 9)
-            self.assert_same_series(swept[("cdp", w)], single)
+            self.assert_same_series(swept[(method, w)], single)
 
     @pytest.mark.parametrize("windows", [(0,), (-1, 2)])
     def test_nonpositive_window_rejected(self, windows):
@@ -233,13 +232,6 @@ class TestSweep:
                      for t in range(1, 5)]
         with pytest.raises(ValueError, match="all snapshots must share the same vertex count"):
             sweep(snapshots, activity, {"actm": actm_scores}, (1,))
-
-    def test_actm_multi_window_matches_single_window_runs(self):
-        snapshots = [fixed_snapshot(15, seed=50 + t, t=t) for t in range(1, 9)]
-        swept = sweep(snapshots, activity, {"actm": actm_scores}, self.WINDOWS)
-        for w in self.WINDOWS:
-            single = score_sequence(snapshots, CdpConfig(), ("actm",), (w,))[("actm", w)]
-            self.assert_same_series(swept[("actm", w)], single)
 
     def test_series_are_arrays_over_instants(self):
         snapshots = [fixed_snapshot(15, seed=60 + t, t=t) for t in range(3, 11)]
