@@ -288,9 +288,12 @@ def cmd_detect(args, out: Path, stages: _Stage):
     return [str(args.input)], ["scores.csv", "dims.csv"], summary, {}
 
 
-def _peak_rss_mb() -> tuple[float, float]:
-    """Peak resident memory in MB of this process and of its largest exited child."""
-    import resource
+def _peak_rss_mb() -> tuple[float | None, float | None]:
+    """Peak RSS in MB of this process and its largest exited child; None without `resource`."""
+    try:
+        import resource
+    except ImportError:
+        return None, None
 
     unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in bytes on macOS
     return tuple(round(resource.getrusage(who).ru_maxrss / unit, 1)

@@ -211,33 +211,30 @@ def _score_run(
     N: int,
     epsilon_rank: float,
     rseed: int,
-) -> tuple[tuple[dict, dict, dict, dict], dict]:
+) -> tuple[tuple[dict, dict, dict], dict]:
     """One run: draw its sequence, score it with every method and window, measure phi.
 
-    Returns the run's phi, eta, flagged and hits rows, each a dict by
-    (method, w), and its seconds by (task, method).
+    Returns the run's phi, flagged and hits rows, each a dict by (method,
+    w), and its seconds by (task, method).
     It reads only its arguments, so a worker process computes what the
     parent would.
     """
     changed, unchanged = spec.changed_vertices, spec.unchanged_vertices
     snapshots = generate_sequence(spec, np.random.default_rng(rseed))
     config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
-    phi, eta, flagged, hits = {}, {}, {}, {}
+    phi, flagged, hits = {}, {}, {}
     seconds: dict[tuple[str, str], list[float]] = {
         (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
     }
     for (method, w), series in score_sequence(snapshots, config, methods, windows).items():
-        if w == windows[0]:
-            seconds[("embedding", method)].extend(series.embed_seconds.tolist())
-        seconds[("profile_and_scores", method)].extend(series.score_seconds.tolist())
+        seconds["embedding", method] = series.embed_seconds.tolist()  # shared by its windows
+        seconds["profile_and_scores", method].extend(series.score_seconds.tolist())
         flagged[method, w] = series.detected.sum(axis=1)
         hits[method, w] = series.detected[:, changed].sum(axis=1)
         rng = _phi_rng(rseed, method, w)
-        phi[method, w], eta[method, w] = np.empty((2, len(series.instants)))
-        for k, z in enumerate(series.scores):
-            p = estimate_phi(z[changed], z[unchanged], N, rng)
-            phi[method, w][k], eta[method, w][k] = p, log_odds(p)
-    return (phi, eta, flagged, hits), seconds
+        phi[method, w] = np.array(
+            [estimate_phi(z[changed], z[unchanged], N, rng) for z in series.scores])
+    return (phi, flagged, hits), seconds
 
 
 def _thread_count() -> int:
@@ -324,10 +321,11 @@ def run_experiment(
                else _map_in_workers(score_run, rseeds, workers))
 
     instants = {w: range(w + 1, spec.T + 1) for w in windows}
-    phi, eta, flagged, hits = (
+    phi, flagged, hits = (
         {key: np.stack([row[key] for row in field]) for key in field[0]}
         for field in zip(*(rows for rows, _ in per_run))
     )
+    eta = {key: np.vectorize(log_odds, otypes=[float])(p) for key, p in phi.items()}
     seconds = {key: [s for _, run_seconds in per_run for s in run_seconds[key]]
                for key in per_run[0][1]}
     return ExperimentResult(spec, methods, windows, instants, phi, eta, flagged, hits, seconds,

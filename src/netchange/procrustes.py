@@ -3,9 +3,10 @@
 Embeddings produced by spectral decomposition are unique only up to scale,
 rotation and reflection, so they cannot be averaged or differenced as raw
 matrices.  Each matrix is first reduced to its pre-shape (column-centered,
-unit Frobenius norm); a generalized Procrustes loop then rotates all
-pre-shapes onto a common mean.  Change scores are squared row distances
-between the aligned current embedding and the aligned window profile.
+unit Frobenius norm); a generalized Procrustes loop (`gpa_align`, which
+zero-pads narrower matrices) then rotates all pre-shapes onto a common
+mean.  Change scores are squared row distances between the aligned current
+embedding and the aligned window profile.
 """
 
 from __future__ import annotations
@@ -72,17 +73,22 @@ def optimal_rotation(mu: np.ndarray, Xtilde: np.ndarray) -> np.ndarray:
 def gpa_align(matrices: list[np.ndarray]) -> AlignmentResult:
     """Iteratively align matrices to a common mean shape.
 
-    The reference starts as the raw first matrix; every pass rotates each
-    pre-shape optimally onto the reference, averages the aligned copies,
-    and measures the squared movement D of the mean.  Iteration stops once
-    D drops to GPA_THRESHOLD or the GPA_MAX_ITERATIONS cap is hit (flagged,
-    not an error).
+    Members share a row count; narrower ones are zero-padded on the right
+    to the widest, never truncated.  The reference starts as the raw first
+    matrix; every pass rotates each pre-shape optimally onto the reference,
+    averages the aligned copies, and measures the squared movement D of the
+    mean.  Iteration stops once D drops to GPA_THRESHOLD or the
+    GPA_MAX_ITERATIONS cap is hit (flagged, not an error).
     Pre-shapes do not change across passes, so they are stacked once and a
     pass is one stacked SVD and one stacked product.
     """
     if len(matrices) < 2:
         raise ValueError("alignment needs at least two matrices")
-    raw = np.stack(matrices, dtype=float)
+    if len({len(X) for X in matrices}) > 1:
+        raise ValueError(f"row mismatch: {[len(X) for X in matrices]}")
+    raw = np.zeros((len(matrices), len(matrices[0]), max(X.shape[1] for X in matrices)))
+    for padded, X in zip(raw, matrices):
+        padded[:, : X.shape[1]] = X
     tildes = np.stack([pre_shape(X) for X in raw])
 
     mu = raw[0]
@@ -103,38 +109,30 @@ def gpa_align(matrices: list[np.ndarray]) -> AlignmentResult:
     )
 
 
-def _padded(X: np.ndarray, d_max: int) -> np.ndarray:
-    """X with zero columns appended up to d_max; X itself when it has d_max."""
-    d = X.shape[1]
-    return X if d == d_max else np.hstack([X, np.zeros((X.shape[0], d_max - d))])
-
-
 def profile_embedding(window: list[Embedding]) -> Embedding:
     """Mean shape of the embeddings in a window.
 
-    Members are zero-padded to the window's largest dimension before
-    alignment.  A single-member window needs no alignment: its profile is
-    that embedding's pre-shape.
+    Members of different dimensions are aligned by `gpa_align`.  A
+    single-member window needs no alignment: its profile is that
+    embedding's pre-shape.
     """
     if not window:
         raise ValueError("window must contain at least one embedding")
     if len(window) == 1:
         return Embedding(X=pre_shape(window[0].X))
-    d_max = max(e.d for e in window)
-    return Embedding(X=gpa_align([_padded(e.X, d_max) for e in window]).mean)
+    return Embedding(X=gpa_align([e.X for e in window]).mean)
 
 
 def change_scores(current: Embedding, profile: Embedding) -> np.ndarray:
     """Per-vertex dissimilarity between an embedding and its window profile.
 
-    Both matrices are padded to a common dimension and aligned pairwise;
-    the score of vertex i is the squared distance between its aligned rows,
-    divided by the Frobenius norm of the pair mean.
+    The pair is aligned by `gpa_align`; the score of vertex i is the
+    squared distance between its aligned rows, divided by the Frobenius
+    norm of the pair mean.
     """
     if current.n != profile.n:
         raise ValueError(f"row mismatch: {current.n} vs {profile.n}")
-    d_max = max(current.d, profile.d)
-    result = gpa_align([_padded(current.X, d_max), _padded(profile.X, d_max)])
+    result = gpa_align([current.X, profile.X])
     current_hat, profile_hat = result.aligned
     gaps = np.sum((current_hat - profile_hat) ** 2, axis=1)
     mean_norm = np.linalg.norm(result.mean)

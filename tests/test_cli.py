@@ -658,6 +658,17 @@ class TestManifest:
         assert manifest["workers"] == 2
         assert manifest["peak_rss_mb"] > 0 and manifest["worker_peak_rss_mb"] > 0
 
+    def test_evaluate_without_resource_module_records_null_peaks(self, monkeypatch, tmp_path):
+        # as on Windows, which has no `resource` module
+        monkeypatch.setitem(sys.modules, "resource", None)
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--scenario", "group-change", "--scale", "0.1", "--T", "24",
+                "--methods", "act", "--windows", "1", "--runs", "1", "--phi-samples", "100",
+                "--out", str(out)]
+        assert main(argv) == 0
+        manifest = self.read(out, self.EVALUATE_KEYS)
+        assert manifest["peak_rss_mb"] is None and manifest["worker_peak_rss_mb"] is None
+
     @pytest.mark.parametrize(
         "argv, stage",
         [
