@@ -10,9 +10,9 @@ duplicates are rejected.  Missing pairs have weight zero.
 
 Every command writes a ``manifest.json`` recording the merged
 configuration, input/output paths, seed, per-stage wall-clock timings, and
-the tool version; ``evaluate`` adds its worker count and the peak resident
-memory of itself and of its largest worker.  A flat ``key = value`` config
-file can pre-set any flag; explicit flags win.
+the tool version; ``detect`` and ``evaluate`` add their worker count and the
+peak resident memory of the command and of its largest worker.  A flat
+``key = value`` config file can pre-set any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .evaluation import (
     score_sequence,
 )
 from .graph import MAX_VERTICES, SnapshotMatrix
-from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, ScoreSeries
+from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, ScoreSeries, worker_count
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +273,8 @@ def cmd_detect(args, out: Path, stages: _Stage):
     with stages("ingest"):
         snapshots = ingest_sequence(args.input)
     with stages("score"):
-        method, w = args.method, args.window
-        series = score_sequence(snapshots, config, (method,), (w,))[(method, w)]
+        method, w, workers = args.method, args.window, worker_count(len(snapshots))
+        series = score_sequence(snapshots, config, (method,), (w,), workers)[(method, w)]
     with stages("write"):
         write_csv(out / "scores.csv", ["t", "vertex", "z", "zscore", "detected"],
                   _ScoreRows(series))
@@ -285,19 +285,24 @@ def cmd_detect(args, out: Path, stages: _Stage):
         f"scored {len(series.instants)} instants with {method}; {sum(flagged)} detections, "
         f"max per-instant fraction {max(flagged) / snapshots[0].n:.4f}"
     )
-    return [str(args.input)], ["scores.csv", "dims.csv"], summary, {}
+    return [str(args.input)], ["scores.csv", "dims.csv"], summary, _resources(workers)
 
 
-def _peak_rss_mb() -> tuple[float | None, float | None]:
-    """Peak RSS in MB of this process and its largest exited child; None without `resource`."""
+def _resources(workers: int) -> dict:
+    """`workers`, and the peak RSS in MB of this process and of its largest exited child.
+
+    The child's is null with one worker; both are null without `resource`.
+    """
     try:
         import resource
     except ImportError:
-        return None, None
-
-    unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in bytes on macOS
-    return tuple(round(resource.getrusage(who).ru_maxrss / unit, 1)
-                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        peak = worker_peak = None
+    else:
+        unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in bytes on macOS
+        peak, worker_peak = (round(resource.getrusage(who).ru_maxrss / unit, 1)
+                             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return {"workers": workers, "peak_rss_mb": peak,
+            "worker_peak_rss_mb": worker_peak if workers > 1 else None}
 
 
 def cmd_evaluate(args, out: Path, stages: _Stage):
@@ -321,10 +326,7 @@ def cmd_evaluate(args, out: Path, stages: _Stage):
         f"evaluated {spec.name} over {args.runs} runs, "
         f"methods={','.join(methods)}, windows={args.windows}"
     )
-    peak, worker_peak = _peak_rss_mb()
-    resources = {"workers": result.workers, "peak_rss_mb": peak,
-                 "worker_peak_rss_mb": worker_peak if result.workers > 1 else None}
-    return [], [f"{name}.csv" for name in tables], summary, resources
+    return [], [f"{name}.csv" for name in tables], summary, _resources(result.workers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .embedding import DEFAULT_RANK_EPSILON
 from .errors import EmptyPartition
 from .graph import SnapshotMatrix
 from .pipeline import DEFAULT_WINDOW, CdpConfig, ScoreSeries, cdp_scores, embed_snapshot, sweep
+from .pipeline import _map_in_workers, worker_count
 
 DEFAULT_PHI_SAMPLES = 100_000
 # Table order: it orders output rows, and a method's index seeds its phi stream.
@@ -46,22 +46,25 @@ def score_sequence(
     config: CdpConfig,
     methods: tuple[str, ...],
     windows: tuple[int, ...],
+    workers: int = 1,
 ) -> dict[tuple[str, int], ScoreSeries]:
     """One series per (method, w), for every method and window asked for.
 
     cdp scores the spectral embedding; act and actm share one activity vector
-    per snapshot.  Built per call, so a module-level rebinding of any of
-    these functions (layer tracing, tests) is seen.
+    per snapshot.  Features are extracted in `workers` processes.  The table
+    is built per call, so a module-level rebinding of any of these functions
+    (layer tracing, tests) is seen.
     """
     methods = _ordered_methods(methods)
     table = (
-        (lambda snap: embed_snapshot(snap, config), {"cdp": cdp_scores}),
+        (functools.partial(embed_snapshot, config=config), {"cdp": cdp_scores}),
         (baselines.activity, {"act": baselines.act_scores, "actm": baselines.actm_scores}),
     )
     out = {}
     for extract, scorers in table:
         if wanted := {m: f for m, f in scorers.items() if m in methods}:
-            out.update(sweep(snapshots, extract, wanted, windows, config.zscore_threshold))
+            out.update(sweep(snapshots, extract, wanted, windows, config.zscore_threshold,
+                             workers))
     return out
 
 
@@ -217,7 +220,8 @@ def _score_run(
     Returns the run's phi, flagged and hits rows, each a dict by (method,
     w), and its seconds by (task, method).
     It reads only its arguments, so a worker process computes what the
-    parent would.
+    parent would; it extracts its features in its own process, so a worker
+    never forks again.
     """
     changed, unchanged = spec.changed_vertices, spec.unchanged_vertices
     snapshots = generate_sequence(spec, np.random.default_rng(rseed))
@@ -235,52 +239,6 @@ def _score_run(
         phi[method, w] = np.array(
             [estimate_phi(z[changed], z[unchanged], N, rng) for z in series.scores])
     return (phi, flagged, hits), seconds
-
-
-def _thread_count() -> int:
-    """Threads this process runs, native ones included; 0 where that cannot be read."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
-
-
-def worker_count(runs: int) -> int:
-    """Processes that score `runs` runs: one per usable CPU, never more than runs.
-
-    Usable CPUs are the ones this process may run on (`taskset` narrows
-    them); a cgroup CPU quota is not read.  It is 1 without `fork`, and
-    while this process runs more than its one thread: a multi-threaded BLAS
-    would run its threads again in every worker, and the workers would
-    crowd each other off the CPUs (on two CPUs, a 6-run study at n=300
-    took 39-64 s that way against 5 s in one process).
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _thread_count() != 1:
-        return 1
-    return min(runs, len(os.sched_getaffinity(0)))
-
-
-def _map_in_workers(fn, items: list, workers: int) -> list:
-    """`list(map(fn, items))`, computed in `workers` forked processes.
-
-    The first call to raise ends the map with its exception, and the items
-    not yet started are dropped; a worker that dies ends it with
-    `ChildProcessError`.  Every worker has exited when this returns.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(fn, item) for item in items]
-        for future in as_completed(futures):
-            future.result()
-        return [future.result() for future in futures]
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(str(exc)) from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(
@@ -317,8 +275,7 @@ def run_experiment(
     score_run = functools.partial(_score_run, spec, methods, windows, N, epsilon_rank)
     rseeds = [run_seed(seed, run) for run in range(runs)]
     workers = worker_count(runs)
-    per_run = (list(map(score_run, rseeds)) if workers == 1
-               else _map_in_workers(score_run, rseeds, workers))
+    per_run = _map_in_workers(score_run, rseeds, workers)
 
     instants = {w: range(w + 1, spec.T + 1) for w in windows}
     phi, flagged, hits = (

@@ -3,7 +3,9 @@
 A sweep runs in two passes.  The first embeds every snapshot; each
 snapshot's randomized rank selection draws from a generator seeded by
 (config seed, time index), so its embedding depends on nothing else and
-results are bit-reproducible for a fixed configuration.  The second scores
+results are bit-reproducible for a fixed configuration.  So this pass may
+run in forked worker processes (`worker_count`, `_map_in_workers`, the
+package's one parallel map) with byte-identical results.  The second scores
 each (method, window) series from that list: from instant w+1 onwards the
 previous w embeddings are aligned into a window profile, the current
 embedding is scored against it, and the scores are normalized into
@@ -14,6 +16,8 @@ snapshot.
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -124,17 +128,81 @@ def cdp_scores(window: list[Embedding], current: Embedding) -> np.ndarray:
     return change_scores(current, profile_embedding(window))
 
 
+def _thread_count() -> int:
+    """Threads this process runs, native ones included; 0 where that cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+def worker_count(items: int) -> int:
+    """Processes to map over `items` items: one per usable CPU, never more than items.
+
+    Usable CPUs are the ones this process may run on (`taskset` narrows
+    them); a cgroup CPU quota is not read.  It is 1 without `fork`, and
+    while this process runs more than its one thread: a multi-threaded BLAS
+    would run its threads again in every worker, and the workers would
+    crowd each other off the CPUs (on two CPUs, a 6-run study at n=300
+    took 39-64 s that way against 5 s in one process).  A forked worker
+    runs one thread, so it must be handed its count rather than read it.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _thread_count() != 1:
+        return 1
+    return min(items, len(os.sched_getaffinity(0)))
+
+
+def _map_in_workers(fn, items: list, workers: int) -> list:
+    """`list(map(fn, items))`, computed in `workers` forked processes if more than one.
+
+    `fn` and the items must pickle.  The first call to raise stops the
+    map: the calls already handed to a worker finish, the others never
+    start, and the exception raised is that of the earliest item, as in one
+    process.  A worker that dies ends the map with `ChildProcessError`.
+    Every worker has exited when this returns.
+    """
+    if workers == 1:
+        return list(map(fn, items))
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)  # the calls a worker holds finish, the rest never start
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _extract_timed(extract, snap: SnapshotMatrix) -> tuple[Embedding, float]:
+    """`extract(snap)` and its seconds, timed where it runs; EmptyGraph names the instant."""
+    start = time.perf_counter()
+    try:
+        feature = extract(snap)
+    except EmptyGraph as exc:
+        raise EmptyGraph(f"snapshot t={snap.t} has no edges: {exc}") from exc
+    return feature, time.perf_counter() - start
+
+
 def sweep(
     snapshots: list[SnapshotMatrix],
     extract: Callable[[SnapshotMatrix], Embedding],
     scorers: dict[str, Callable[[list[Embedding], Embedding], np.ndarray]],
     windows: tuple[int, ...],
     threshold: float = DEFAULT_ZSCORE_THRESHOLD,
+    workers: int = 1,
 ) -> dict[tuple[str, int], ScoreSeries]:
     """Score a sequence under every method and window that share one feature.
 
-    The first pass runs `extract` once per snapshot and keeps every feature,
-    an Embedding (an activity vector is a one-column one).  The second
+    The first pass runs `extract` once per snapshot, in `workers` forked
+    processes when more than one (so `extract` must pickle: a module-level
+    function or a `functools.partial` of one), and keeps every feature, an
+    Embedding (an activity vector is a one-column one).  The second
     scores each (method, w) series: at every instant with at least w earlier
     features, the scorer compares the current feature with the w before it;
     its scores must be finite and nonnegative, and are normalized.  Returns
@@ -156,14 +224,8 @@ def sweep(
                 f"time indices must be consecutive: expected t={prev.t + 1} "
                 f"after t={prev.t}, got t={snap.t}"
             )
-    features, embed_seconds = [], []
-    for snap in snapshots:
-        start = time.perf_counter()
-        try:
-            features.append(extract(snap))
-        except EmptyGraph as exc:
-            raise EmptyGraph(f"snapshot t={snap.t} has no edges: {exc}") from exc
-        embed_seconds.append(time.perf_counter() - start)
+    timed = functools.partial(_extract_timed, extract)
+    features, embed_seconds = map(list, zip(*_map_in_workers(timed, snapshots, workers)))
     dims, embed_seconds = np.array([f.d for f in features]), np.array(embed_seconds)
 
     def scored(score_window, w, k):

@@ -2,12 +2,12 @@ import os
 
 import pytest
 
-import netchange.evaluation
+import netchange.pipeline
 
 
 @pytest.fixture
 def usable_cpus(monkeypatch):
-    """`usable_cpus(k)` lets `evaluate` score its runs in k processes.
+    """`usable_cpus(k)` lets `detect` and `evaluate` map over k processes.
 
     The process sees k usable CPUs, whatever the machine has, and counts as
     running one thread, whatever its BLAS runs.
@@ -15,6 +15,6 @@ def usable_cpus(monkeypatch):
 
     def see(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-        monkeypatch.setattr(netchange.evaluation, "_thread_count", lambda: 1)
+        monkeypatch.setattr(netchange.pipeline, "_thread_count", lambda: 1)
 
     return see

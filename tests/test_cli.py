@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import netchange.evaluation
+import netchange.pipeline
 from netchange import EmptyGraph, FormatError, SnapshotMatrix, __version__, run_experiment, scenario
 from netchange.baselines import activity
 from netchange.cli import (
@@ -22,6 +23,7 @@ from netchange.cli import (
     write_csv,
     write_sequence,
 )
+from netchange.pipeline import embed_snapshot
 
 
 def write(path, text):
@@ -550,6 +552,58 @@ class TestEvaluateInWorkers:
         assert multiprocessing.active_children() == []
 
 
+def embed_slowly_at_t2(snapshot, config):
+    """`embed_snapshot`, one second late at t=2; module-level, so a worker can unpickle it."""
+    if snapshot.t == 2:
+        time.sleep(1.0)
+    return embed_snapshot(snapshot, config)
+
+
+class TestDetectInWorkers:
+    """`detect` extracts its snapshots in worker processes, with outputs unchanged."""
+
+    @pytest.fixture(scope="class")
+    def sequence(self, tmp_path_factory):
+        """The n=90 group-change sequence of the behaviour fingerprint, seed 0."""
+        out = tmp_path_factory.mktemp("sim")
+        argv = ["simulate", "--scenario", "group-change", "--scale", "0.1", "--T", "30",
+                "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        return out / "sequence.tsv"
+
+    @pytest.mark.parametrize("method", ["cdp", "act"])
+    def test_pooled_outputs_equal_in_process_outputs(
+        self, tmp_path, usable_cpus, sequence, method
+    ):
+        outputs = {}
+        for cpus in (2, 1):
+            usable_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}"
+            argv = ["detect", "--input", str(sequence), "--method", method, "--out", str(out)]
+            assert main(argv) == 0
+            assert multiprocessing.active_children() == []
+            assert json.loads((out / "manifest.json").read_text())["workers"] == cpus
+            outputs[cpus] = [(out / name).read_bytes() for name in ("scores.csv", "dims.csv")]
+        assert outputs[2] == outputs[1]
+
+    def test_earliest_failure_names_its_instant(self, monkeypatch, tmp_path, capsys, usable_cpus):
+        # t=4 fails first in time, while t=2 sleeps; the map reports t=2, as one process would
+        usable_cpus(2)
+        monkeypatch.setattr(netchange.evaluation, "embed_snapshot", embed_slowly_at_t2)
+        edges = write(tmp_path / "e.tsv", "".join(
+            f"{t} 0 1 0\n" if t in (2, 4) else f"{t} 0 1 1\n{t} 1 2 {t}\n" for t in range(1, 7)
+        ))
+        out = tmp_path / "o"
+        argv = ["detect", "--input", str(edges), "--window", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "netchange detect: stage 'score' failed: snapshot t=2 has no edges: "
+            "matrix has no positive entries; nothing to embed\n"
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -569,7 +623,7 @@ class TestManifest:
     """The manifest each command writes: keys, order and contents."""
 
     KEYS = ["command", "version", "config", "inputs", "outputs", "seed", "stages"]
-    EVALUATE_KEYS = ["workers", "peak_rss_mb", "worker_peak_rss_mb"]
+    RESOURCE_KEYS = ["workers", "peak_rss_mb", "worker_peak_rss_mb"]
 
     def read(self, out, extra=()):
         manifest = json.loads((out / "manifest.json").read_text())
@@ -595,12 +649,13 @@ class TestManifest:
         assert manifest["seed"] == 5
         assert [s["stage"] for s in manifest["stages"]] == ["build-scenario", "generate", "write"]
 
-    def test_detect(self, tmp_path):
+    def test_detect(self, tmp_path, usable_cpus):
+        usable_cpus(1)
         edges = self.simulate(tmp_path / "sim")
         out = tmp_path / "det"
         argv = ["detect", "--input", str(edges), "--window", "2", "--seed", "3", "--out", str(out)]
         assert main(argv) == 0
-        manifest = self.read(out)
+        manifest = self.read(out, self.RESOURCE_KEYS)
         assert manifest["command"] == "detect"
         assert list(manifest["config"]) == [
             "epsilon", "input", "method", "out", "seed", "threshold", "window",
@@ -610,6 +665,17 @@ class TestManifest:
         assert manifest["outputs"] == [str(out / "dims.csv"), str(out / "scores.csv")]
         assert manifest["seed"] == 3
         assert [s["stage"] for s in manifest["stages"]] == ["ingest", "score", "write"]
+        assert manifest["workers"] == 1 and manifest["worker_peak_rss_mb"] is None
+        assert manifest["peak_rss_mb"] > 0
+
+    def test_detect_records_its_workers(self, tmp_path, usable_cpus):
+        usable_cpus(2)
+        edges = self.simulate(tmp_path / "sim")
+        out = tmp_path / "det"
+        assert main(["detect", "--input", str(edges), "--method", "act", "--out", str(out)]) == 0
+        manifest = self.read(out, self.RESOURCE_KEYS)
+        assert manifest["workers"] == 2
+        assert manifest["peak_rss_mb"] > 0 and manifest["worker_peak_rss_mb"] > 0
 
     def test_evaluate(self, tmp_path):
         out = tmp_path / "ev"
@@ -617,7 +683,7 @@ class TestManifest:
                 "--methods", "act", "--windows", "1", "--runs", "1", "--phi-samples", "100",
                 "--seed", "9", "--out", str(out)]
         assert main(argv) == 0
-        manifest = self.read(out, self.EVALUATE_KEYS)
+        manifest = self.read(out, self.RESOURCE_KEYS)
         assert manifest["command"] == "evaluate"
         assert list(manifest["config"]) == [
             "T", "change_type", "epsilon", "methods", "out", "phi_samples", "runs",
@@ -648,13 +714,13 @@ class TestManifest:
             return results
 
         monkeypatch.setattr(netchange.evaluation, "_map_in_workers", mapping)
-        monkeypatch.setattr(netchange.evaluation, "_thread_count", lambda: threads[0])
+        monkeypatch.setattr(netchange.pipeline, "_thread_count", lambda: threads[0])
         out = tmp_path / "ev"
         argv = ["evaluate", "--scenario", "group-change", "--scale", "0.1", "--T", "24",
                 "--methods", "act", "--windows", "1", "--runs", "3", "--phi-samples", "100",
                 "--out", str(out)]
         assert main(argv) == 0
-        manifest = self.read(out, self.EVALUATE_KEYS)
+        manifest = self.read(out, self.RESOURCE_KEYS)
         assert manifest["workers"] == 2
         assert manifest["peak_rss_mb"] > 0 and manifest["worker_peak_rss_mb"] > 0
 
@@ -666,7 +732,7 @@ class TestManifest:
                 "--methods", "act", "--windows", "1", "--runs", "1", "--phi-samples", "100",
                 "--out", str(out)]
         assert main(argv) == 0
-        manifest = self.read(out, self.EVALUATE_KEYS)
+        manifest = self.read(out, self.RESOURCE_KEYS)
         assert manifest["peak_rss_mb"] is None and manifest["worker_peak_rss_mb"] is None
 
     @pytest.mark.parametrize(

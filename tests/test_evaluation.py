@@ -353,16 +353,16 @@ class TestWorkers:
     def test_one_worker_beside_other_threads(self, monkeypatch, usable_cpus):
         # a BLAS with threads of its own would run them in every worker
         usable_cpus(8)
-        monkeypatch.setattr(netchange.evaluation, "_thread_count", lambda: 3)
+        monkeypatch.setattr(netchange.pipeline, "_thread_count", lambda: 3)
         assert worker_count(4) == 1
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads read from /proc")
     def test_thread_count_sees_a_new_thread(self):
-        before, stop = netchange.evaluation._thread_count(), threading.Event()
+        before, stop = netchange.pipeline._thread_count(), threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert netchange.evaluation._thread_count() == before + 1
+            assert netchange.pipeline._thread_count() == before + 1
         finally:
             stop.set()
             thread.join()

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import netchange.cli
 import netchange.embedding
@@ -53,8 +54,15 @@ def traced_spans(tmp_path, method):
     )
 
 
+@pytest.fixture(autouse=True)
+def one_usable_cpu(usable_cpus):
+    """Spans recorded in a worker process stay there, so every traced call
+    here sees one usable CPU and maps over its snapshots and runs in-process."""
+    usable_cpus(1)
+
+
 def traced(argv):
-    """Spans of one traced CLI call."""
+    """Spans of one traced CLI call, made with one usable CPU (`one_usable_cpu`)."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
