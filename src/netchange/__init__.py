@@ -47,7 +47,6 @@ from .evaluation import (
     estimate_phi,
     log_odds,
     run_experiment,
-    score_sequence,
     sign_test,
 )
 from .graph import (
@@ -60,7 +59,7 @@ from .pipeline import (
     ScoreVector,
     cdp_scores,
     normalize_and_detect,
-    sweep,
+    score_sequence,
 )
 from .procrustes import (
     AlignmentResult,

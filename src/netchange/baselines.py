@@ -18,7 +18,7 @@ from .embedding import Embedding
 from .errors import EmptyGraph, NotConverged
 from .graph import SnapshotMatrix
 # normalize_and_detect is imported for callers that rebind it here by
-# module (layer tracing); the sweep itself normalizes through pipeline.
+# module (layer tracing); score_sequence normalizes through pipeline.
 from .pipeline import normalize_and_detect  # noqa: F401
 
 # Read at call time, so tests can patch them.

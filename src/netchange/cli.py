@@ -42,14 +42,10 @@ from .dcsbm import (
 )
 from .embedding import DEFAULT_RANK_EPSILON
 from .errors import FormatError, NetchangeError
-from .evaluation import (
-    DEFAULT_PHI_SAMPLES,
-    METHODS,
-    run_experiment,
-    score_sequence,
-)
+from .evaluation import DEFAULT_PHI_SAMPLES, run_experiment
 from .graph import MAX_VERTICES, SnapshotMatrix
-from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, CdpConfig, ScoreSeries, worker_count
+from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, METHODS, CdpConfig, ScoreSeries
+from .pipeline import score_sequence, worker_count
 
 
 # ---------------------------------------------------------------------------

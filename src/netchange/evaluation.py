@@ -1,7 +1,6 @@
-"""Method dispatch, score-separation measures, sign tests, and the experiment driver.
+"""Score-separation measures, sign tests, and the experiment driver.
 
-`detect` and `evaluate` both score through `score_sequence`, the one table
-of detection methods and the feature each one scores.
+Every run is scored through `pipeline.score_sequence`, as `detect` is.
 
 A method's detection quality on a simulated scenario is summarized by the
 exceedance probability phi: the chance that a randomly chosen changed
@@ -21,51 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines
 from .dcsbm import ScenarioSpec, generate_sequence
 from .embedding import DEFAULT_RANK_EPSILON
 from .errors import EmptyPartition
-from .graph import SnapshotMatrix
-from .pipeline import DEFAULT_WINDOW, CdpConfig, ScoreSeries, cdp_scores, embed_snapshot, sweep
-from .pipeline import _map_in_workers, worker_count
+from .pipeline import DEFAULT_WINDOW, METHODS, CdpConfig, _map_in_workers, _ordered_methods
+from .pipeline import score_sequence, worker_count
 
 DEFAULT_PHI_SAMPLES = 100_000
-# Table order: it orders output rows, and a method's index seeds its phi stream.
-METHODS = ("cdp", "act", "actm")
-
-
-def _ordered_methods(methods) -> tuple[str, ...]:
-    """`methods` without repeats, in table order; an unknown name is an error."""
-    if unknown := [m for m in methods if m not in METHODS]:
-        raise ValueError(f"unknown method {unknown[0]!r}; expected a subset of {METHODS}")
-    return tuple(m for m in METHODS if m in methods)
-
-
-def score_sequence(
-    snapshots: list[SnapshotMatrix],
-    config: CdpConfig,
-    methods: tuple[str, ...],
-    windows: tuple[int, ...],
-    workers: int = 1,
-) -> dict[tuple[str, int], ScoreSeries]:
-    """One series per (method, w), for every method and window asked for.
-
-    cdp scores the spectral embedding; act and actm share one activity vector
-    per snapshot.  Features are extracted in `workers` processes.  The table
-    is built per call, so a module-level rebinding of any of these functions
-    (layer tracing, tests) is seen.
-    """
-    methods = _ordered_methods(methods)
-    table = (
-        (functools.partial(embed_snapshot, config=config), {"cdp": cdp_scores}),
-        (baselines.activity, {"act": baselines.act_scores, "actm": baselines.actm_scores}),
-    )
-    out = {}
-    for extract, scorers in table:
-        if wanted := {m: f for m, f in scorers.items() if m in methods}:
-            out.update(sweep(snapshots, extract, wanted, windows, config.zscore_threshold,
-                             workers))
-    return out
 
 
 def estimate_phi(
@@ -265,6 +226,8 @@ def run_experiment(
         raise ValueError(f"windows must be >= 1, got {windows[0]}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if N < 1:

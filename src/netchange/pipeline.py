@@ -1,17 +1,16 @@
 """End-to-end change detection over a snapshot sequence.
 
-A sweep runs in two passes.  The first embeds every snapshot; each
-snapshot's randomized rank selection draws from a generator seeded by
-(config seed, time index), so its embedding depends on nothing else and
-results are bit-reproducible for a fixed configuration.  So this pass may
-run in forked worker processes (`worker_count`, `_map_in_workers`, the
-package's one parallel map) with byte-identical results.  The second scores
-each (method, window) series from that list: from instant w+1 onwards the
-previous w embeddings are aligned into a window profile, the current
-embedding is scored against it, and the scores are normalized into
-z-scores with a detection threshold.  The same sweep serves the
-activity-vector baselines, whose feature is one activity vector per
-snapshot.
+`score_sequence`, the one scoring entry point and the only table of
+methods, runs in two passes.  The first extracts every snapshot's feature:
+the spectral embedding for cdp, one activity vector for act and actm.  An
+embedding's randomized rank selection draws from a generator seeded by
+(config seed, time index), so it depends on that snapshot alone and is
+bit-reproducible for a fixed configuration; this pass may therefore run in
+forked worker processes (`worker_count`, `_map_in_workers`, the package's
+one parallel map) with byte-identical results.  The second scores each
+(method, window) series from that list: from instant w+1 onwards the
+current feature is scored against a profile of the previous w, and the
+scores are normalized into z-scores with the configured threshold.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import functools
 import os
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +34,7 @@ DEGENERATE_STD = 1e-14
 
 @dataclass(frozen=True)
 class CdpConfig:
-    """Tunables for a detection run; the profile windows are given to `sweep`.
+    """Tunables for a detection run; the profile windows are given to `score_sequence`.
 
     Attributes:
         epsilon_rank: convergence threshold of the rank-selection residual
@@ -54,8 +52,8 @@ class CdpConfig:
             raise ValueError("epsilon_rank must be positive")
         if not np.isfinite(self.zscore_threshold):
             raise ValueError("zscore_threshold must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -189,28 +187,44 @@ def _extract_timed(extract, snap: SnapshotMatrix) -> tuple[Embedding, float]:
     return feature, time.perf_counter() - start
 
 
-def sweep(
+# Table order: it orders output rows, and a method's index seeds its phi stream.
+METHODS = ("cdp", "act", "actm")
+
+
+def _ordered_methods(methods) -> tuple[str, ...]:
+    """`methods` without repeats, in table order; an unknown name is an error."""
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}; expected a subset of {METHODS}")
+    return tuple(m for m in METHODS if m in methods)
+
+
+def score_sequence(
     snapshots: list[SnapshotMatrix],
-    extract: Callable[[SnapshotMatrix], Embedding],
-    scorers: dict[str, Callable[[list[Embedding], Embedding], np.ndarray]],
+    config: CdpConfig,
+    methods: tuple[str, ...],
     windows: tuple[int, ...],
-    threshold: float = DEFAULT_ZSCORE_THRESHOLD,
     workers: int = 1,
 ) -> dict[tuple[str, int], ScoreSeries]:
-    """Score a sequence under every method and window that share one feature.
+    """One series per (method, w), for every method and window asked for.
 
-    The first pass runs `extract` once per snapshot, in `workers` forked
-    processes when more than one (so `extract` must pickle: a module-level
-    function or a `functools.partial` of one), and keeps every feature, an
-    Embedding (an activity vector is a one-column one).  The second
-    scores each (method, w) series: at every instant with at least w earlier
-    features, the scorer compares the current feature with the w before it;
-    its scores must be finite and nonnegative, and are normalized.  Returns
-    one series per (method, window); the series of one sweep share one array
-    of the feature dimension and one of the extraction seconds of every
+    cdp scores the spectral embedding; act and actm share one activity
+    vector per snapshot (a one-column Embedding).  Each feature in use is
+    extracted once per snapshot, in `workers` forked processes when more
+    than one.  Then each (method, w) series is scored: at every instant with
+    at least w earlier features, the current feature is compared with the w
+    before it, and the scores are normalized against
+    `config.zscore_threshold`.  The series of one feature share one array of
+    the feature dimension and one of the extraction seconds of every
     instant.  Time indices must be consecutive: a missing instant would
-    otherwise be profiled against the wrong past.
+    otherwise be profiled against the wrong past.  The table is built per
+    call, so a module-level rebinding of any of its functions (layer
+    tracing, tests) is seen.
     """
+    from . import baselines  # at call time: baselines imports this module
+
+    methods = _ordered_methods(methods)
+    if not windows:
+        raise ValueError("need at least one window")
     if min(windows) < 1:
         raise ValueError(f"windows must be >= 1, got {min(windows)}")
     depth = max(windows)
@@ -224,22 +238,32 @@ def sweep(
                 f"time indices must be consecutive: expected t={prev.t + 1} "
                 f"after t={prev.t}, got t={snap.t}"
             )
-    timed = functools.partial(_extract_timed, extract)
-    features, embed_seconds = map(list, zip(*_map_in_workers(timed, snapshots, workers)))
-    dims, embed_seconds = np.array([f.d for f in features]), np.array(embed_seconds)
+    table = (
+        (functools.partial(embed_snapshot, config=config), {"cdp": cdp_scores}),
+        (baselines.activity, {"act": baselines.act_scores, "actm": baselines.actm_scores}),
+    )
 
-    def scored(score_window, w, k):
+    def scored(score_window, features, w, k):
         """Row k - w of a series: scores, z-scores, detections, degenerate flag, seconds."""
         start = time.perf_counter()
         score = ScoreVector(z=score_window(features[k - w : k], features[k]), t=snapshots[k].t)
-        return score.z, *normalize_and_detect(score, threshold), time.perf_counter() - start
+        return (score.z, *normalize_and_detect(score, config.zscore_threshold),
+                time.perf_counter() - start)
 
     T, first = len(snapshots), snapshots[0].t
-    return {
-        (method, w): ScoreSeries(
-            range(first + w, first + T),
-            *map(np.array, zip(*(scored(score_window, w, k) for k in range(w, T)))),
-            dims, embed_seconds,
+    out = {}
+    for extract, scorers in table:
+        if not (wanted := [(m, f) for m, f in scorers.items() if m in methods]):
+            continue
+        timed = functools.partial(_extract_timed, extract)
+        features, seconds = map(list, zip(*_map_in_workers(timed, snapshots, workers)))
+        dims, seconds = np.array([f.d for f in features]), np.array(seconds)
+        out.update(
+            ((method, w), ScoreSeries(
+                range(first + w, first + T),
+                *map(np.array, zip(*(scored(score_window, features, w, k) for k in range(w, T)))),
+                dims, seconds,
+            ))
+            for method, score_window in wanted for w in windows
         )
-        for method, score_window in scorers.items() for w in windows
-    }
+    return out

@@ -589,7 +589,7 @@ class TestDetectInWorkers:
     def test_earliest_failure_names_its_instant(self, monkeypatch, tmp_path, capsys, usable_cpus):
         # t=4 fails first in time, while t=2 sleeps; the map reports t=2, as one process would
         usable_cpus(2)
-        monkeypatch.setattr(netchange.evaluation, "embed_snapshot", embed_slowly_at_t2)
+        monkeypatch.setattr(netchange.pipeline, "embed_snapshot", embed_slowly_at_t2)
         edges = write(tmp_path / "e.tsv", "".join(
             f"{t} 0 1 0\n" if t in (2, 4) else f"{t} 0 1 1\n{t} 1 2 {t}\n" for t in range(1, 7)
         ))

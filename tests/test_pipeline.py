@@ -8,20 +8,15 @@ from netchange import (
     EmptyGraph,
     ScoreVector,
     SnapshotMatrix,
-    act_scores,
-    activity,
-    actm_scores,
     change_scores,
     generate_sequence,
     normalize_and_detect,
     pre_shape,
     scenario,
     score_sequence,
-    sweep,
 )
 from netchange.embedding import Embedding
-from netchange.evaluation import METHODS
-from netchange.pipeline import embed_snapshot
+from netchange.pipeline import METHODS, embed_snapshot
 
 
 def cdp_series(snapshots, w, **config):
@@ -58,6 +53,11 @@ class TestCdpConfig:
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="zscore_threshold"):
             CdpConfig(zscore_threshold=threshold)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            CdpConfig(seed=seed)
 
 
 class TestNormalizeAndDetect:
@@ -220,22 +220,23 @@ class TestSweep:
             assert single.instants == range(w + 1, 9)
             self.assert_same_series(swept[(method, w)], single)
 
-    @pytest.mark.parametrize("windows", [(0,), (-1, 2)])
+    @pytest.mark.parametrize("windows", [(0,), (-1, 2), ()])
     def test_nonpositive_window_rejected(self, windows):
         snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
-        with pytest.raises(ValueError, match="windows must be >= 1"):
-            sweep(snapshots, activity, {"actm": actm_scores}, windows)
+        message = "windows must be >= 1" if windows else "need at least one window"
+        with pytest.raises(ValueError, match=message):
+            score_sequence(snapshots, CdpConfig(), ("actm",), windows)
 
     @pytest.mark.parametrize("odd_one", [0, 3])
     def test_mixed_vertex_counts_rejected(self, odd_one):
         snapshots = [fixed_snapshot(12 if t == odd_one + 1 else 10, seed=t, t=t)
                      for t in range(1, 5)]
         with pytest.raises(ValueError, match="all snapshots must share the same vertex count"):
-            sweep(snapshots, activity, {"actm": actm_scores}, (1,))
+            score_sequence(snapshots, CdpConfig(), ("actm",), (1,))
 
     def test_series_are_arrays_over_instants(self):
         snapshots = [fixed_snapshot(15, seed=60 + t, t=t) for t in range(3, 11)]
-        swept = sweep(snapshots, activity, {"act": act_scores, "actm": actm_scores}, (1, 3))
+        swept = score_sequence(snapshots, CdpConfig(), ("act", "actm"), (1, 3))
         first = swept[("act", 1)]
         for (_, w), series in swept.items():
             assert series.instants == range(3 + w, 11)
@@ -244,12 +245,12 @@ class TestSweep:
             assert series.detected.shape == (rows, 15) and series.detected.dtype == bool
             assert np.array_equal(series.detected, series.zscores > 5.0)
             assert series.degenerate.shape == series.score_seconds.shape == (rows,)
-            # one array of each per sweep, covering all 8 extracted instants
+            # one array of each per feature, covering all 8 extracted instants
             assert series.dims is first.dims and series.embed_seconds is first.embed_seconds
         assert first.dims.tolist() == [1] * 8 and first.embed_seconds.shape == (8,)
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-3])
-    def test_invalid_scores_rejected(self, bad):
+    def test_invalid_scores_rejected(self, monkeypatch, bad):
         snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 4)]
 
         def stub(window, current):
@@ -257,5 +258,17 @@ class TestSweep:
             z[0] = bad
             return z
 
+        monkeypatch.setattr("netchange.baselines.act_scores", stub)  # seen: table built per call
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            sweep(snapshots, activity, {"stub": stub}, (1,))
+            score_sequence(snapshots, CdpConfig(), ("act",), (1,))
+
+    @pytest.mark.parametrize("method", ["cdp", "act"])
+    def test_configured_threshold_sets_the_detections(self, method):
+        snapshots = [fixed_snapshot(15, seed=40 + t, t=t) for t in range(1, 9)]
+        default = score_sequence(snapshots, CdpConfig(seed=2), (method,), (3,))[(method, 3)]
+        lowered = score_sequence(
+            snapshots, CdpConfig(zscore_threshold=2.0, seed=2), (method,), (3,))[(method, 3)]
+        assert np.array_equal(lowered.zscores, default.zscores)
+        assert np.array_equal(lowered.detected, lowered.zscores > 2.0)
+        assert np.array_equal(default.detected, default.zscores > 5.0)
+        assert lowered.detected.sum() > default.detected.sum()

@@ -1,5 +1,6 @@
-"""The README's examples stay valid: the library example runs, the commands parse."""
+"""The README stays valid: the library example runs, the commands parse, the signature holds."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -50,3 +51,13 @@ def test_readme_commands_parse():
     for argv in commands:
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_quoted_score_sequence_signature_matches():
+    quoted = re.findall(r"`score_sequence(\([^`]*\))`", README.read_text(encoding="utf-8"))
+    signature = inspect.signature(netchange.score_sequence)
+    bare = signature.replace(
+        parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+        return_annotation=signature.empty,
+    )
+    assert quoted == [str(bare)]
