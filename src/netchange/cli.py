@@ -18,6 +18,7 @@ peak resident memory of the command and of its largest worker.  A flat
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import json
@@ -52,16 +53,51 @@ from .pipeline import score_sequence, worker_count
 # edge-list format
 
 
-def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
-    """Parse an edge-list file into one snapshot per distinct time index.
+# The bytes of a plain file: decimal digits and the whitespace that both
+# `str.split` and numpy's text parser skip, every one of which sorts below "0".
+_PLAIN_BYTES = b"0123456789 \t\n\v\f\r"
+_MAX_PLAIN_DIGITS = 18  # any 18-digit token fits in int64
 
-    The vertex count is one past the largest index seen anywhere in the
-    file.  An edge listed once is mirrored; listing both orientations (or
-    repeating a line) is accepted only when the weights agree.  Lines are
-    read into flat arrays, so the parse holds about 40 bytes per line
-    rather than a Python object per edge.
+
+def _plain_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
+    """The t, i, j, weight and line-number columns of a plain file; None otherwise.
+
+    Plain is ASCII digits and whitespace only, four tokens on each non-blank
+    line, at most 18 digits a token and every t >= 1: text on which
+    `_parsed_columns` would read the same columns and raise nothing.  Lines
+    end as in Python's universal newlines (LF, CRLF or a lone CR).
     """
-    path = Path(path)
+    if data.translate(None, _PLAIN_BYTES):  # some other byte: one C pass, no array built
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = (b >= ord("0")).view(np.int8)
+    pad = np.int8(0)  # an int 0 would widen the diff to int64
+    edge = np.diff(digit, prepend=pad, append=pad)  # +1 where a token starts, -1 past its end
+    starts = np.flatnonzero(edge == 1)
+    if not starts.size or starts.size % 4:  # no edges: the line reader names the file
+        return None
+    if (np.flatnonzero(edge == -1) - starts).max() > _MAX_PLAIN_DIGITS:
+        return None
+    lf, cr = b == ord("\n"), b == ord("\r")
+    cr[:-1] &= ~lf[1:]  # the CR of a CRLF ends no line of its own
+    breaks = np.flatnonzero(lf | cr)
+    # the lines of each edge's first and last token: all four on one line, one edge a line
+    first, last = (np.searchsorted(breaks, starts[k::4]) for k in (0, 3))
+    if np.any(first != last) or np.any(first[1:] == first[:-1]):
+        return None
+    del digit, edge, starts, lf, cr  # freed before the values are read: a lower peak
+    t, i, j, w = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 4).T
+    if np.any(t < 1):
+        return None
+    return t, i, j, w.astype(float), first + 1
+
+
+def _parsed_columns(path: Path) -> tuple[np.ndarray, ...]:
+    """The t, i, j, weight and line-number columns of any file, read line by line.
+
+    Every line-numbered format error is raised here.  Lines are read into
+    flat arrays rather than a Python object per edge.
+    """
     times, firsts, seconds, linenos = (array("q") for _ in range(4))
     weights = array("d")
     with open(path, encoding="utf-8-sig") as handle:
@@ -100,9 +136,29 @@ def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
                 raise FormatError(f"{path.name}:{lineno}: index does not fit in 64 bits") from None
             linenos.append(lineno)
             weights.append(weight)
-    if not times:
+    return tuple(map(np.array, (times, firsts, seconds, weights, linenos)))
+
+
+def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
+    """Parse an edge-list file into one snapshot per distinct time index.
+
+    The vertex count is one past the largest index seen anywhere in the
+    file.  An edge listed once is mirrored; listing both orientations (or
+    repeating a line) is accepted only when the weights agree.  The text
+    itself picks one of two readers, and both give the same snapshots and
+    the same errors.  A plain file (see `_plain_columns`), as `simulate`
+    writes, is read once as bytes and parsed in a few numpy passes, which
+    peak at about 10 bytes per byte of the file (120 per line of
+    `simulate` output).  Any other file (comments, signs, decimal weights,
+    non-ASCII text, no edges, any malformed line) is read again, line by
+    line, into flat arrays of about 40 bytes per line; that reader alone
+    raises the line-numbered format errors.
+    """
+    path = Path(path)
+    columns = _plain_columns(path.read_bytes().removeprefix(codecs.BOM_UTF8))
+    t, i, j, weights, linenos = columns if columns is not None else _parsed_columns(path)
+    if not t.size:
         raise FormatError(f"{path.name}: no edges found")
-    t, i, j = np.array(times), np.array(firsts), np.array(seconds)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     n = int(hi.max()) + 1
     if n > MAX_VERTICES:  # the grouping key below would overflow int64
@@ -111,7 +167,7 @@ def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
     # group the lines by (t, pair), each group in file order
     order = np.lexsort((lo * n + hi, t))
     t, lo, hi = t[order], lo[order], hi[order]
-    w, line = np.array(weights)[order], np.array(linenos)[order]
+    w, line = weights[order], linenos[order]
     first = np.ones(t.size, dtype=bool)
     first[1:] = (t[1:] != t[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     agreed = w[first][np.cumsum(first) - 1]

@@ -226,7 +226,7 @@ def run_experiment(
         raise ValueError(f"windows must be >= 1, got {windows[0]}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

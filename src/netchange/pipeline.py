@@ -52,8 +52,9 @@ class CdpConfig:
             raise ValueError("epsilon_rank must be positive")
         if not np.isfinite(self.zscore_threshold):
             raise ValueError("zscore_threshold must be finite")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,8 @@ def score_sequence(
     from . import baselines  # at call time: baselines imports this module
 
     methods = _ordered_methods(methods)
+    if not methods:
+        raise ValueError("need at least one method")
     if not windows:
         raise ValueError("need at least one window")
     if min(windows) < 1:

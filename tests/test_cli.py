@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import netchange.cli
 import netchange.evaluation
 import netchange.pipeline
 from netchange import EmptyGraph, FormatError, SnapshotMatrix, __version__, run_experiment, scenario
@@ -23,12 +24,18 @@ from netchange.cli import (
     write_csv,
     write_sequence,
 )
+from netchange.graph import MAX_VERTICES
 from netchange.pipeline import embed_snapshot
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def not_line_by_line(path):
+    """Stands in for the line-by-line reader where a file must take the numpy path."""
+    raise AssertionError(f"{path} read line by line")
 
 
 class TestIngest:
@@ -77,6 +84,18 @@ class TestIngest:
             ("1 0 1 inf\n", "x.tsv:1: weight must be finite"),
             ("1 0 1 nan\n", "x.tsv:1: weight must be finite"),
             ("# a comment\n\n# another\n", "x.tsv: no edges found"),
+            # near-plain text: read line by line, with the line reader's message
+            ("1 0 1000000000000000000 1\n",
+             f"x.tsv:1: vertex index 1000000000000000000 exceeds {MAX_VERTICES - 1}"),
+            ("1 0 99999999999999999999 1\n", "x.tsv:1: index does not fit in 64 bits"),
+            ("1 0 1 2\n0 0 1 2\n", "x.tsv:2: time index must be >= 1, got 0"),
+            ("1 0 1 2\n\n1 0 1\n", "x.tsv:3: expected 't i j weight', got 3 fields"),
+            ("1 0 1 2 1 0 2 3\n", "x.tsv:1: expected 't i j weight', got 8 fields"),
+            ("1 0 1\n2 1 0 2 2\n", "x.tsv:1: expected 't i j weight', got 3 fields"),
+            # whitespace only: no token, so the line reader names the file
+            ("", "x.tsv: no edges found"),
+            ("\n", "x.tsv: no edges found"),
+            (" \t\v\f\r\n", "x.tsv: no edges found"),
         ],
     )
     def test_malformed_line_rejected_with_message(self, tmp_path, text, message):
@@ -142,6 +161,14 @@ class TestIngest:
         write_sequence(second, ingest_sequence(first))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_edgeless_sequence_written_reads_as_no_edges(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        write_sequence(path, [SnapshotMatrix(W=np.zeros((3, 3)), t=t) for t in (1, 2)])
+        assert path.read_text() == "\n"
+        with pytest.raises(FormatError) as caught:
+            ingest_sequence(path)
+        assert str(caught.value) == "x.tsv: no edges found"
+
     def test_ingest_holds_edges_not_dense_snapshots(self, tmp_path):
         n, T = 400, 20
         rng = np.random.default_rng(5)
@@ -162,6 +189,77 @@ class TestIngest:
         # the whole sequence costs less than one dense n x n snapshot
         assert held < n * n * 8
 
+    @staticmethod
+    def outcome(path):
+        """What ingesting `path` gives: n and each snapshot's t and edge bytes, or the error."""
+        try:
+            snaps = ingest_sequence(path)
+        except FormatError as exc:
+            return str(exc)
+        return snaps[0].n, [(s.t, *(a.dtype.str + a.tobytes().hex() for a in s.edges))
+                            for s in snaps]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_plain_file_reads_as_line_by_line(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n, T = int(rng.integers(2, 51)), int(rng.integers(1, 6))
+        blank, ends = [" ", "\t", "\v", "\f"], ["\n", "\r\n", "\r"]
+
+        def token(value):
+            return "0" * int(rng.integers(0, 3) == 0) + str(value)
+
+        def gap(least):
+            return "".join(rng.choice(blank, size=int(rng.integers(least, 3))))
+
+        edges = []
+        for t in range(1, T + 1):
+            for _ in range(int(rng.integers(1, 3 * n))):
+                i, j = (int(v) for v in rng.integers(0, n, size=2))
+                w = (t + i * j) % 10  # a pair drawn twice keeps its weight
+                edges += [(t, i, j, w), (t, j, i, w)] if rng.random() < 0.2 else [(t, i, j, w)]
+        if seed % 10 == 8:  # a conflicting duplicate, named by its line
+            t, i, j, w = edges[int(rng.integers(len(edges)))]
+            edges.insert(int(rng.integers(len(edges) + 1)), (t, j, i, w + 1))
+        if seed % 10 == 9:  # an index past MAX_VERTICES, named by its line
+            edges.insert(int(rng.integers(len(edges) + 1)), (1, 0, 12345678901234567, 1))
+        lines = []
+        for fields in edges:
+            lines.append(gap(0) + gap(1).join(map(token, fields)) + gap(0))
+            if rng.random() < 0.1:
+                lines.append(gap(0))  # a blank line
+        text = "".join(line + rng.choice(ends) for line in lines)
+        if seed % 4 == 1:
+            text = text.rstrip("\r\n")
+        plain, commented = tmp_path / "plain.tsv", tmp_path / "commented.tsv"
+        bom = "\ufeff" * (seed % 3 == 2)
+        plain.write_bytes((bom + text).encode())
+        commented.write_bytes((bom + text + "\n# x\n").encode())
+        expected = self.outcome(commented)  # a comment forces the line-by-line reader
+        monkeypatch.setattr("netchange.cli._parsed_columns", not_line_by_line)
+        assert self.outcome(plain) == (expected.replace("commented.tsv", "plain.tsv")
+                                       if isinstance(expected, str) else expected)
+
+    def test_simulated_sequence_is_plain(self, tmp_path, monkeypatch):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--scenario", "group-change", "--scale", "0.1", "--out", str(out)]
+        assert main(argv) == 0
+        monkeypatch.setattr("netchange.cli._parsed_columns", not_line_by_line)
+        snaps = ingest_sequence(out / "sequence.tsv")
+        assert [s.t for s in snaps] == list(range(1, 31)) and snaps[0].n == 90
+
+    @pytest.mark.parametrize(
+        "text, edge",
+        [
+            ("1\x1c0 1 2\n", (0, 1, 2.0)),
+            ("1 0 +3 1\n", (0, 3, 1.0)),
+            ("1 0 1_0 2\n", (0, 10, 2.0)),
+            ("1 0 1 2.5\n", (0, 1, 2.5)),
+            ("1 0 0000000000000000003 1\n", (0, 3, 1.0)),
+        ],
+    )
+    def test_near_plain_file_read_line_by_line(self, tmp_path, text, edge):
+        [snap] = ingest_sequence(write(tmp_path / "x.tsv", text))
+        assert [a.tolist() for a in snap.edges] == [[v] for v in edge]
 
 class TestWriteCsv:
     def test_numpy_float_cell_writes_plain_digits(self, tmp_path):

@@ -203,6 +203,7 @@ class TestRunExperiment:
             ({"windows": (0, 2)}, "windows must be >= 1, got 0"),
             ({"windows": (-3,)}, "windows must be >= 1, got -3"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
         ],
     )
     def test_seed_and_windows_checked_before_first_run(self, monkeypatch, kwargs, message):

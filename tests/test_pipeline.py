@@ -54,7 +54,7 @@ class TestCdpConfig:
         with pytest.raises(ValueError, match="zscore_threshold"):
             CdpConfig(zscore_threshold=threshold)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, "3"])
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             CdpConfig(seed=seed)
@@ -226,6 +226,15 @@ class TestSweep:
         message = "windows must be >= 1" if windows else "need at least one window"
         with pytest.raises(ValueError, match=message):
             score_sequence(snapshots, CdpConfig(), ("actm",), windows)
+
+    def test_empty_methods_rejected_before_extraction(self, monkeypatch):
+        def no_extract(*args, **kwargs):
+            raise AssertionError("a feature was extracted")
+
+        monkeypatch.setattr("netchange.pipeline._map_in_workers", no_extract)
+        snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
+        with pytest.raises(ValueError, match="need at least one method"):
+            score_sequence(snapshots, CdpConfig(), (), (1,))
 
     @pytest.mark.parametrize("odd_one", [0, 3])
     def test_mixed_vertex_counts_rejected(self, odd_one):
