@@ -4,9 +4,9 @@ File formats
 ------------
 Snapshot sequences travel as whitespace-separated edge lists, one edge per
 line: ``t i j weight`` with a 1-based time index, 0-based vertex indices,
-UTF-8 text, LF line endings, and ``#`` comments.  Each undirected edge may
-be listed once (it is mirrored) or twice with the same weight; conflicting
-duplicates are rejected.  Missing pairs have weight zero.
+UTF-8 text, LF, CRLF or lone-CR line endings, and ``#`` comments.  Each
+undirected edge may be listed once (it is mirrored) or twice with the same
+weight; conflicting duplicates are rejected.  Missing pairs have weight zero.
 
 Every command writes a ``manifest.json`` recording the merged
 configuration, input/output paths, seed, per-stage wall-clock timings, and

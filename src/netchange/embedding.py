@@ -187,8 +187,8 @@ def embed(
     vector is a near-constant direction carrying no contrast), with d >= 1
     chosen by the residual sign-flip search of `_rank_from_spectrum`.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     M = _check_symmetric(M)
     if M.shape[0] < 2:
         raise ValueError(f"need at least 2 rows to embed, got {M.shape[0]}")

@@ -16,14 +16,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dcsbm import ScenarioSpec, generate_sequence
 from .embedding import DEFAULT_RANK_EPSILON
 from .errors import EmptyPartition
-from .pipeline import DEFAULT_WINDOW, METHODS, CdpConfig, _map_in_workers, _ordered_methods
+from .pipeline import DEFAULT_WINDOW, METHODS, CdpConfig, _map_in_workers, _series_keys
 from .pipeline import score_sequence, worker_count
 
 DEFAULT_PHI_SAMPLES = 100_000
@@ -173,20 +173,21 @@ def _score_run(
     methods: tuple[str, ...],
     windows: tuple[int, ...],
     N: int,
-    epsilon_rank: float,
+    config: CdpConfig,
     rseed: int,
 ) -> tuple[tuple[dict, dict, dict], dict]:
     """One run: draw its sequence, score it with every method and window, measure phi.
 
-    Returns the run's phi, flagged and hits rows, each a dict by (method,
-    w), and its seconds by (task, method).
+    The sequence is drawn from `rseed` and scored under `config` reseeded
+    with it.  Returns the run's phi, flagged and hits rows, each a dict by
+    (method, w), and its seconds by (task, method).
     It reads only its arguments, so a worker process computes what the
     parent would; it extracts its features in its own process, so a worker
     never forks again.
     """
     changed, unchanged = spec.changed_vertices, spec.unchanged_vertices
     snapshots = generate_sequence(spec, np.random.default_rng(rseed))
-    config = CdpConfig(epsilon_rank=epsilon_rank, seed=rseed)
+    config = replace(config, seed=rseed)
     phi, flagged, hits = {}, {}, {}
     seconds: dict[tuple[str, str], list[float]] = {
         (task, m): [] for m in methods for task in ("embedding", "profile_and_scores")
@@ -214,28 +215,22 @@ def run_experiment(
     """Repeat a scenario, score it with each method and window, measure separation.
 
     Every run draws a fresh sequence; all methods and windows score the same
-    sequence so cross-method comparisons are paired.  Every check of the
-    arguments comes before the first run is drawn.  Runs are scored in
-    `worker_count(runs)` processes, recorded in `workers`; no other field depends on how many.
+    sequence so cross-method comparisons are paired.  Every argument, epsilon
+    included, is checked before the first run is drawn: epsilon and the seed
+    by `CdpConfig`, the methods and windows as `score_sequence` checks them.
+    Runs are scored in `worker_count(runs)` processes, recorded in
+    `workers`; no other field depends on how many.
     """
-    methods = _ordered_methods(methods)
-    windows = tuple(sorted(set(windows)))
-    if not methods or not windows:
-        raise ValueError("need at least one method and one window")
-    if windows[0] < 1:
-        raise ValueError(f"windows must be >= 1, got {windows[0]}")
+    config = CdpConfig(epsilon_rank=epsilon_rank, seed=seed)
+    methods, windows = _series_keys(methods, windows)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     if N < 1:
         raise ValueError(f"phi sample count N must be >= 1, got {N}")
     if windows[-1] >= spec.change.start:
         raise ValueError(f"window {windows[-1]} must be smaller than t*={spec.change.start}")
 
-    score_run = functools.partial(_score_run, spec, methods, windows, N, epsilon_rank)
+    score_run = functools.partial(_score_run, spec, methods, windows, N, config)
     rseeds = [run_seed(seed, run) for run in range(runs)]
     workers = worker_count(runs)
     per_run = _map_in_workers(score_run, rseeds, workers)

@@ -48,13 +48,15 @@ class CdpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon_rank > 0:
-            raise ValueError("epsilon_rank must be positive")
+        if not 0 < self.epsilon_rank < np.inf:
+            raise ValueError("epsilon_rank must be positive and finite")
         if not np.isfinite(self.zscore_threshold):
             raise ValueError("zscore_threshold must be finite")
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -192,11 +194,18 @@ def _extract_timed(extract, snap: SnapshotMatrix) -> tuple[Embedding, float]:
 METHODS = ("cdp", "act", "actm")
 
 
-def _ordered_methods(methods) -> tuple[str, ...]:
-    """`methods` without repeats, in table order; an unknown name is an error."""
+def _series_keys(methods, windows) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Methods in table order and windows ascending, without repeats: the one check of both."""
     if unknown := [m for m in methods if m not in METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}; expected a subset of {METHODS}")
-    return tuple(m for m in METHODS if m in methods)
+    if not methods:
+        raise ValueError("need at least one method")
+    if not windows:
+        raise ValueError("need at least one window")
+    windows = tuple(sorted(set(windows)))
+    if windows[0] < 1:
+        raise ValueError(f"windows must be >= 1, got {windows[0]}")
+    return tuple(m for m in METHODS if m in methods), windows
 
 
 def score_sequence(
@@ -219,18 +228,13 @@ def score_sequence(
     instant.  Time indices must be consecutive: a missing instant would
     otherwise be profiled against the wrong past.  The table is built per
     call, so a module-level rebinding of any of its functions (layer
-    tracing, tests) is seen.
+    tracing, tests) is seen.  A repeat is scored once; the series come with
+    the methods in table order, then the windows ascending.
     """
     from . import baselines  # at call time: baselines imports this module
 
-    methods = _ordered_methods(methods)
-    if not methods:
-        raise ValueError("need at least one method")
-    if not windows:
-        raise ValueError("need at least one window")
-    if min(windows) < 1:
-        raise ValueError(f"windows must be >= 1, got {min(windows)}")
-    depth = max(windows)
+    methods, windows = _series_keys(methods, windows)
+    depth = windows[-1]
     if len(snapshots) <= depth:
         raise ValueError(f"need more snapshots ({len(snapshots)}) than the window ({depth})")
     if any(snap.n != snapshots[0].n for snap in snapshots):

@@ -717,6 +717,17 @@ def test_negative_seed_names_flag(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_infinite_epsilon_rejected_before_ingest(tmp_path, capsys):
+    edges = write(tmp_path / "e.tsv", "".join(f"{t} 0 1 1\n{t} 1 2 1\n" for t in range(1, 4)))
+    out = tmp_path / "o"
+    argv = ["detect", "--input", str(edges), "--window", "1", "--out", str(out)]
+    assert main([*argv, "--epsilon", "inf"]) == 1
+    assert capsys.readouterr().err == (
+        "netchange detect: stage 'setup' failed: epsilon_rank must be positive and finite\n"
+    )
+    assert not out.exists()
+
+
 class TestManifest:
     """The manifest each command writes: keys, order and contents."""
 

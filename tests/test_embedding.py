@@ -13,10 +13,12 @@ from netchange import (
     NotSymmetric,
     SnapshotMatrix,
     embed,
+    generate_sequence,
     random_sign_flip,
     representation_matrix,
     sample_snapshot,
     sample_theta,
+    scenario,
     spectral_norm,
 )
 from netchange.embedding import _eigsorted, _fix_column_signs
@@ -236,6 +238,12 @@ class TestEstimateRank:
         with pytest.raises(ValueError, match="epsilon"):
             embed(M, epsilon=float("nan"), rng=np.random.default_rng(0))
 
+    def test_infinite_epsilon_rejected(self):
+        # every rho passes an infinite threshold, so d would be 1 on any matrix
+        M = random_symmetric(40, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite, got inf$"):
+            embed(M, epsilon=float("inf"), rng=np.random.default_rng(0))
+
     def test_one_norm_solve_per_sign_flip(self, monkeypatch):
         calls = {"norm": 0, "flip": 0}
         original_norm = netchange.embedding.spectral_norm
@@ -389,3 +397,43 @@ def test_one_block_graph_embeds_in_few_dimensions(deg):
         theta = sample_theta(model, rng)
         dims.append(embed_snapshot(sample_snapshot(model, theta, rng, t=1), CdpConfig(seed=0)).d)
     assert max(dims) <= 2, dims
+
+
+@pytest.fixture(scope="module")
+def group_change_n300():
+    """Group-change at one-third scale (n=300): d sits near the rank test's threshold."""
+    return generate_sequence(scenario("group-change", scale=1 / 3), np.random.default_rng(7))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the sign flip is drawn by vertex position, so relabelling redraws it and moves "
+    "d at t=25 under all three permutations (2 -> 1) and at t=3 under the first (1 -> 2); "
+    "ROADMAP item 16",
+)
+def test_relabelled_sequence_embeds_in_the_same_dimensions(group_change_n300):
+    snaps = group_change_n300
+    n = snaps[0].n
+    dims = [embed_snapshot(snap, CdpConfig(seed=0)).d for snap in snaps]
+    for p in range(3):
+        perm = np.random.default_rng(100 + p).permutation(n)
+        relabelled = [
+            SnapshotMatrix.from_edges(n, perm[snap.edges[0]], perm[snap.edges[1]],
+                                      snap.edges[2], snap.t)
+            for snap in snaps
+        ]
+        assert [embed_snapshot(snap, CdpConfig(seed=0)).d for snap in relabelled] == dims, p
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="one sign flip decides d near the threshold: at t=3, seeds 0-19 give d=1 seven "
+    "times, d=2 eleven times and d=3 twice; ROADMAP item 16",
+)
+def test_flip_seed_does_not_move_the_dimension(group_change_n300):
+    snap = group_change_n300[2]
+    assert snap.t == 3
+    dims = {embed_snapshot(snap, CdpConfig(seed=seed)).d for seed in range(20)}
+    assert len(dims) == 1, dims

@@ -204,6 +204,8 @@ class TestRunExperiment:
             ({"windows": (-3,)}, "windows must be >= 1, got -3"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"seed": True}, "seed must be an integer, got True"),
+            ({"epsilon_rank": 0.0}, "epsilon_rank must be positive"),
+            ({"epsilon_rank": float("inf")}, "epsilon_rank must be positive and finite"),
         ],
     )
     def test_seed_and_windows_checked_before_first_run(self, monkeypatch, kwargs, message):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -49,14 +50,28 @@ class TestCdpConfig:
         with pytest.raises(ValueError, match="epsilon_rank"):
             CdpConfig(epsilon_rank=float("nan"))
 
+    def test_infinite_epsilon_rejected(self):
+        # every rho passes an infinite threshold, so d would be 1 everywhere
+        with pytest.raises(ValueError, match="^epsilon_rank must be positive and finite$"):
+            CdpConfig(epsilon_rank=float("inf"))
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="zscore_threshold"):
             CdpConfig(zscore_threshold=threshold)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, "3", True])
-    def test_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.5, "seed must be an integer, got 1.5"),
+            (-1, "seed must be >= 0, got -1"),
+            ("3", "seed must be an integer, got '3'"),
+            (True, "seed must be an integer, got True"),
+        ],
+        ids=["1.5", "-1", "3", "True"],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CdpConfig(seed=seed)
 
 
@@ -235,6 +250,11 @@ class TestSweep:
         snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
         with pytest.raises(ValueError, match="need at least one method"):
             score_sequence(snapshots, CdpConfig(), (), (1,))
+
+    def test_windows_scored_once_in_ascending_order(self):
+        snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
+        swept = score_sequence(snapshots, CdpConfig(), ("act",), (2, 1, 2))
+        assert list(swept) == [("act", 1), ("act", 2)]
 
     @pytest.mark.parametrize("odd_one", [0, 3])
     def test_mixed_vertex_counts_rejected(self, odd_one):
