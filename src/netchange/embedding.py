@@ -27,6 +27,7 @@ BLOCK_ROWS = 64  # rows per block where a full n x n temporary is avoided
 # Read at call time, so tests can patch them.
 SPECTRAL_NORM_TOL = 1e-6
 SPECTRAL_NORM_MAX_ITER = 1000
+SPECTRAL_NORM_WARMUP_FLOOR = 1e-6  # the float32 warm-up settles no finer: float32 resolution
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,36 @@ def _eigsorted(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[order], _fix_column_signs(vectors)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # M beyond float32's range is handled below
+def _float32_warmup(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Carry the unit start vector `v` towards the top eigenvector in float32 sweeps.
+
+    Runs the power sweeps of `spectral_norm` on a float32 copy of M until the
+    estimate changes by at most max(3 x SPECTRAL_NORM_TOL,
+    SPECTRAL_NORM_WARMUP_FLOOR) relatively, or for SPECTRAL_NORM_MAX_ITER
+    sweeps.  Returns a float64 unit vector and the number of sweeps that
+    made it.  After a settling sweep that is the vector entering the sweep
+    before it, so the float64 loop repeats both sweeps and its first stop
+    test is the one made at the settling sweep; at the cap it is the vector
+    entering the last sweep.  A float32 product that is 0 or not finite (M
+    outside float32's range) returns `(v, 0)`: float64 from the start.
+    """
+    M32 = M.astype(np.float32)
+    settle = max(3 * SPECTRAL_NORM_TOL, SPECTRAL_NORM_WARMUP_FLOOR)
+    estimate = 0.0
+    handed, done, current = v, 0, v
+    for sweep in range(1, SPECTRAL_NORM_MAX_ITER + 1):
+        w = (M32 @ current.astype(np.float32)).astype(float)
+        new_estimate = math.sqrt(w.dot(w))
+        if not 0.0 < new_estimate < math.inf:
+            return v, 0
+        if abs(new_estimate - estimate) <= settle * new_estimate:
+            break
+        handed, done, current = current, sweep - 1, w / new_estimate
+        estimate = new_estimate
+    return handed, done
+
+
 def spectral_norm(M: np.ndarray, rng: np.random.Generator) -> float:
     """Largest absolute eigenvalue of a symmetric matrix by power iteration.
 
@@ -88,14 +119,18 @@ def spectral_norm(M: np.ndarray, rng: np.random.Generator) -> float:
     its input once, and the residuals built from it are symmetric).  Stops
     when the norm estimate changes by at most SPECTRAL_NORM_TOL relatively,
     or returns the last estimate after SPECTRAL_NORM_MAX_ITER sweeps.  A
-    zero matrix returns 0.
+    zero matrix returns 0.  The first sweeps run in float32
+    (`_float32_warmup`) and only carry the start vector: every stop test
+    that fixes the returned value is made in float64, and the float32
+    sweeps count against the same cap.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     v = rng.standard_normal(n)
     v /= math.sqrt(v.dot(v))
+    v, done = _float32_warmup(M, v)
     estimate = 0.0
-    for _ in range(SPECTRAL_NORM_MAX_ITER):
+    for _ in range(SPECTRAL_NORM_MAX_ITER - done):
         w = M @ v
         new_estimate = math.sqrt(w.dot(w))  # np.linalg.norm(w), bit for bit
         if new_estimate == 0.0:

@@ -202,6 +202,8 @@ def _series_keys(methods, windows) -> tuple[tuple[str, ...], tuple[int, ...]]:
         raise ValueError("need at least one method")
     if not windows:
         raise ValueError("need at least one window")
+    if odd := [w for w in windows if isinstance(w, bool) or not isinstance(w, (int, np.integer))]:
+        raise ValueError(f"windows must be integers, got {odd[0]!r}")
     windows = tuple(sorted(set(windows)))
     if windows[0] < 1:
         raise ValueError(f"windows must be >= 1, got {windows[0]}")

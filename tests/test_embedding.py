@@ -21,7 +21,7 @@ from netchange import (
     scenario,
     spectral_norm,
 )
-from netchange.embedding import _eigsorted, _fix_column_signs
+from netchange.embedding import _eigsorted, _fix_column_signs, _float32_warmup, _residual
 from netchange.pipeline import embed_snapshot
 
 
@@ -403,6 +403,65 @@ def test_one_block_graph_embeds_in_few_dimensions(deg):
 def group_change_n300():
     """Group-change at one-third scale (n=300): d sits near the rank test's threshold."""
     return generate_sequence(scenario("group-change", scale=1 / 3), np.random.default_rng(7))
+
+
+def float64_estimates(M, rng):
+    """Every estimate of `spectral_norm`'s loop as it ran before the float32 warm-up."""
+    tol = netchange.embedding.SPECTRAL_NORM_TOL
+    v = rng.standard_normal(M.shape[0])
+    v /= math.sqrt(v.dot(v))
+    estimates = [0.0]
+    for _ in range(netchange.embedding.SPECTRAL_NORM_MAX_ITER):
+        w = M @ v
+        estimates.append(math.sqrt(w.dot(w)))
+        if abs(estimates[-1] - estimates[-2]) <= tol * estimates[-1]:
+            break
+        v = w / estimates[-1]
+    return estimates[1:]
+
+
+@pytest.fixture(scope="module")
+def flipped_residuals(group_change_n300):
+    """The k=1 and k=2 sign-flipped residuals of the change instant's matrix (n=300)."""
+    M = representation_matrix(group_change_n300[20])
+    evals, evecs = _eigsorted(M)
+    return {k: random_sign_flip(_residual(M, evals, evecs, k), np.random.default_rng(k))
+            for k in (1, 2)}
+
+
+def assert_estimate_of_sweep(estimates, sweep, got):
+    """`got` is the estimate of `sweep` (1-based) to 1e-8, and the sweep before is not."""
+    assert got == pytest.approx(estimates[sweep - 1], rel=1e-8, abs=0)
+    assert abs(got - estimates[sweep - 2]) > 1e-8 * got
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_float32_warmup_keeps_the_float64_stop_sweep(flipped_residuals, k):
+    R = flipped_residuals[k]
+    estimates = float64_estimates(R, np.random.default_rng(100 + k))
+    assert len(estimates) < netchange.embedding.SPECTRAL_NORM_MAX_ITER
+    start = np.random.default_rng(100 + k).standard_normal(R.shape[0])
+    assert _float32_warmup(R, start / np.linalg.norm(start))[1] > 0  # float32 sweeps ran
+    got = spectral_norm(R, np.random.default_rng(100 + k))
+    assert_estimate_of_sweep(estimates, len(estimates), got)
+
+
+def test_float32_warmup_counts_against_the_cap(flipped_residuals, monkeypatch):
+    # half the stop sweep caps the float32 sweeps; one short of it, the float64 ones
+    R = flipped_residuals[1]
+    estimates = float64_estimates(R, np.random.default_rng(101))
+    for cap in (len(estimates) // 2, len(estimates) - 1):
+        monkeypatch.setattr(netchange.embedding, "SPECTRAL_NORM_MAX_ITER", cap)
+        assert len(float64_estimates(R, np.random.default_rng(101))) == cap
+        assert_estimate_of_sweep(estimates, cap, spectral_norm(R, np.random.default_rng(101)))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_float32_warmup_steps_aside_outside_float32_range(scale):
+    # float32 rounds these entries to 0 or to inf, so float64 sweeps run from the start
+    M = random_symmetric(12, np.random.default_rng(5), scale)
+    estimates = float64_estimates(M, np.random.default_rng(6))
+    assert spectral_norm(M, np.random.default_rng(6)) == estimates[-1]
 
 
 @pytest.mark.xfail(

@@ -206,6 +206,8 @@ class TestRunExperiment:
             ({"seed": True}, "seed must be an integer, got True"),
             ({"epsilon_rank": 0.0}, "epsilon_rank must be positive"),
             ({"epsilon_rank": float("inf")}, "epsilon_rank must be positive and finite"),
+            ({"windows": (1.5,)}, "windows must be integers, got 1.5"),
+            ({"windows": (2, True)}, "windows must be integers, got True"),
         ],
     )
     def test_seed_and_windows_checked_before_first_run(self, monkeypatch, kwargs, message):

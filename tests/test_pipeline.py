@@ -235,10 +235,15 @@ class TestSweep:
             assert single.instants == range(w + 1, 9)
             self.assert_same_series(swept[(method, w)], single)
 
-    @pytest.mark.parametrize("windows", [(0,), (-1, 2), ()])
+    @pytest.mark.parametrize("windows", [(0,), (-1, 2), (), (1.5,), (True,), (2, np.float64(1.0))])
     def test_nonpositive_window_rejected(self, windows):
         snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
-        message = "windows must be >= 1" if windows else "need at least one window"
+        message = {
+            (): "need at least one window",
+            (1.5,): "^windows must be integers, got 1.5$",
+            (True,): "^windows must be integers, got True$",
+            (2, 1.0): r"^windows must be integers, got np.float64\(1.0\)$",
+        }.get(windows, "windows must be >= 1")
         with pytest.raises(ValueError, match=message):
             score_sequence(snapshots, CdpConfig(), ("actm",), windows)
 
@@ -253,7 +258,7 @@ class TestSweep:
 
     def test_windows_scored_once_in_ascending_order(self):
         snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
-        swept = score_sequence(snapshots, CdpConfig(), ("act",), (2, 1, 2))
+        swept = score_sequence(snapshots, CdpConfig(), ("act",), (2, np.int64(1), 2))
         assert list(swept) == [("act", 1), ("act", 2)]
 
     @pytest.mark.parametrize("odd_one", [0, 3])
