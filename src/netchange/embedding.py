@@ -27,7 +27,6 @@ BLOCK_ROWS = 64  # rows per block where a full n x n temporary is avoided
 # Read at call time, so tests can patch them.
 SPECTRAL_NORM_TOL = 1e-6
 SPECTRAL_NORM_MAX_ITER = 1000
-SPECTRAL_NORM_WARMUP_FLOOR = 1e-6  # the float32 warm-up settles no finer: float32 resolution
 
 
 @dataclass(frozen=True)
@@ -82,34 +81,23 @@ def _eigsorted(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[order], _fix_column_signs(vectors)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # M beyond float32's range is handled below
-def _float32_warmup(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Carry the unit start vector `v` towards the top eigenvector in float32 sweeps.
+def _sweeps(M: np.ndarray, v: np.ndarray, tol: float, limit: int) -> tuple[float, np.ndarray, int]:
+    """Power sweeps in M's dtype from the unit vector `v`, at most `limit` of them.
 
-    Runs the power sweeps of `spectral_norm` on a float32 copy of M until the
-    estimate changes by at most max(3 x SPECTRAL_NORM_TOL,
-    SPECTRAL_NORM_WARMUP_FLOOR) relatively, or for SPECTRAL_NORM_MAX_ITER
-    sweeps.  Returns a float64 unit vector and the number of sweeps that
-    made it.  After a settling sweep that is the vector entering the sweep
-    before it, so the float64 loop repeats both sweeps and its first stop
-    test is the one made at the settling sweep; at the cap it is the vector
-    entering the last sweep.  A float32 product that is 0 or not finite (M
-    outside float32's range) returns `(v, 0)`: float64 from the start.
+    Stops on an estimate that is 0, not finite, or changed by at most `tol`
+    relatively, and returns it with the vector entering the sweep before it
+    and the number of sweeps before that; at the cap, the last estimate with
+    the vector entering the last sweep.
     """
-    M32 = M.astype(np.float32)
-    settle = max(3 * SPECTRAL_NORM_TOL, SPECTRAL_NORM_WARMUP_FLOOR)
-    estimate = 0.0
-    handed, done, current = v, 0, v
-    for sweep in range(1, SPECTRAL_NORM_MAX_ITER + 1):
-        w = (M32 @ current.astype(np.float32)).astype(float)
-        new_estimate = math.sqrt(w.dot(w))
-        if not 0.0 < new_estimate < math.inf:
-            return v, 0
-        if abs(new_estimate - estimate) <= settle * new_estimate:
-            break
-        handed, done, current = current, sweep - 1, w / new_estimate
+    estimate, handed, done = 0.0, v, 0
+    for sweep in range(1, limit + 1):
+        w = (M @ v.astype(M.dtype, copy=False)).astype(float, copy=False)
+        new_estimate = math.sqrt(w.dot(w))  # np.linalg.norm(w), bit for bit
+        if not 0.0 < new_estimate < math.inf or abs(new_estimate - estimate) <= tol * new_estimate:
+            return new_estimate, handed, done
+        handed, done, v = v, sweep - 1, w / new_estimate
         estimate = new_estimate
-    return handed, done
+    return estimate, handed, done
 
 
 def spectral_norm(M: np.ndarray, rng: np.random.Generator) -> float:
@@ -119,27 +107,22 @@ def spectral_norm(M: np.ndarray, rng: np.random.Generator) -> float:
     its input once, and the residuals built from it are symmetric).  Stops
     when the norm estimate changes by at most SPECTRAL_NORM_TOL relatively,
     or returns the last estimate after SPECTRAL_NORM_MAX_ITER sweeps.  A
-    zero matrix returns 0.  The first sweeps run in float32
-    (`_float32_warmup`) and only carry the start vector: every stop test
-    that fixes the returned value is made in float64, and the float32
-    sweeps count against the same cap.
+    zero matrix returns 0.  The first sweeps run on a float32 copy of M
+    until the change is at most 3 x SPECTRAL_NORM_TOL (float32's resolution
+    at the finest) and only carry the start vector: float64 sweeps repeat
+    the last two of them, so every stop test that fixes the returned value
+    is made in float64, and the float32 sweeps count against the same cap.
+    M outside float32's range is swept in float64 from the start.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(M.shape[0])
     v /= math.sqrt(v.dot(v))
-    v, done = _float32_warmup(M, v)
-    estimate = 0.0
-    for _ in range(SPECTRAL_NORM_MAX_ITER - done):
-        w = M @ v
-        new_estimate = math.sqrt(w.dot(w))  # np.linalg.norm(w), bit for bit
-        if new_estimate == 0.0:
-            return 0.0
-        if abs(new_estimate - estimate) <= SPECTRAL_NORM_TOL * new_estimate:
-            return new_estimate
-        v = w / new_estimate
-        estimate = new_estimate
-    return estimate
+    settle = max(3 * SPECTRAL_NORM_TOL, float(np.finfo(np.float32).resolution))
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate, handed, done = _sweeps(M.astype(np.float32), v, settle, SPECTRAL_NORM_MAX_ITER)
+    if not 0.0 < estimate < math.inf:
+        handed, done = v, 0
+    return _sweeps(M, handed, SPECTRAL_NORM_TOL, SPECTRAL_NORM_MAX_ITER - done)[0]
 
 
 def random_sign_flip(R: np.ndarray, rng: np.random.Generator) -> np.ndarray:

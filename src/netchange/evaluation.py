@@ -217,12 +217,16 @@ def run_experiment(
     Every run draws a fresh sequence; all methods and windows score the same
     sequence so cross-method comparisons are paired.  Every argument, epsilon
     included, is checked before the first run is drawn: epsilon and the seed
-    by `CdpConfig`, the methods and windows as `score_sequence` checks them.
+    by `CdpConfig`, the methods and windows as `score_sequence` checks them,
+    and `runs` and `N` must be integers (numpy ones included, bool not).
     Runs are scored in `worker_count(runs)` processes, recorded in
     `workers`; no other field depends on how many.
     """
     config = CdpConfig(epsilon_rank=epsilon_rank, seed=seed)
     methods, windows = _series_keys(methods, windows)
+    for name, value in (("runs", runs), ("N", N)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if N < 1:

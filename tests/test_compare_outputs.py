@@ -38,6 +38,7 @@ def test_one_line_per_file_and_timings_skipped(tmp_path, capsys):
 def test_commands_cover_every_method_seed_and_input():
     names = [name for name, _argv in load_tool().runs()]
     assert names[0] == "simulate"
-    assert len(names) == len(set(names)) == 1 + 3 * 2 * 2 + 4
+    assert len(names) == len(set(names)) == 1 + 3 * 2 * 2 + 4 + 2 * 2
     assert "detect-actm-seed5-relabelled" in names
     assert "evaluate-n300-seed3" in names
+    assert names.index("simulate-n90-seed1") < names.index("detect-cdp-seed1-n90")

@@ -21,7 +21,7 @@ from netchange import (
     scenario,
     spectral_norm,
 )
-from netchange.embedding import _eigsorted, _fix_column_signs, _float32_warmup, _residual
+from netchange.embedding import _eigsorted, _fix_column_signs, _residual, _sweeps
 from netchange.pipeline import embed_snapshot
 
 
@@ -441,7 +441,9 @@ def test_float32_warmup_keeps_the_float64_stop_sweep(flipped_residuals, k):
     estimates = float64_estimates(R, np.random.default_rng(100 + k))
     assert len(estimates) < netchange.embedding.SPECTRAL_NORM_MAX_ITER
     start = np.random.default_rng(100 + k).standard_normal(R.shape[0])
-    assert _float32_warmup(R, start / np.linalg.norm(start))[1] > 0  # float32 sweeps ran
+    settle = 3 * netchange.embedding.SPECTRAL_NORM_TOL
+    cap = netchange.embedding.SPECTRAL_NORM_MAX_ITER
+    assert _sweeps(R.astype(np.float32), start / np.linalg.norm(start), settle, cap)[2] > 0
     got = spectral_norm(R, np.random.default_rng(100 + k))
     assert_estimate_of_sweep(estimates, len(estimates), got)
 
@@ -454,6 +456,23 @@ def test_float32_warmup_counts_against_the_cap(flipped_residuals, monkeypatch):
         monkeypatch.setattr(netchange.embedding, "SPECTRAL_NORM_MAX_ITER", cap)
         assert len(float64_estimates(R, np.random.default_rng(101))) == cap
         assert_estimate_of_sweep(estimates, cap, spectral_norm(R, np.random.default_rng(101)))
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_sweeps_in_float64_return_the_reference_estimate(flipped_residuals, monkeypatch, capped):
+    # the loop serving both precisions, run in float64 alone, is the reference loop bit for bit
+    R = flipped_residuals[1]
+    estimates = float64_estimates(R, np.random.default_rng(101))
+    if capped:  # one short of the stop sweep
+        monkeypatch.setattr(netchange.embedding, "SPECTRAL_NORM_MAX_ITER", len(estimates) - 1)
+        estimates = float64_estimates(R, np.random.default_rng(101))
+    v = np.random.default_rng(101).standard_normal(R.shape[0])
+    v /= math.sqrt(v.dot(v))
+    tol, cap = netchange.embedding.SPECTRAL_NORM_TOL, netchange.embedding.SPECTRAL_NORM_MAX_ITER
+    estimate, _, done = _sweeps(R, v, tol, cap)
+    assert estimate == estimates[-1]
+    # the vector handed on enters the sweep before the stop sweep, or the last sweep at the cap
+    assert done == len(estimates) - (1 if capped else 2)
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1e100])

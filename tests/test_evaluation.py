@@ -208,6 +208,11 @@ class TestRunExperiment:
             ({"epsilon_rank": float("inf")}, "epsilon_rank must be positive and finite"),
             ({"windows": (1.5,)}, "windows must be integers, got 1.5"),
             ({"windows": (2, True)}, "windows must be integers, got True"),
+            ({"runs": 2.5}, "runs must be an integer, got 2.5"),
+            ({"runs": True}, "runs must be an integer, got True"),
+            ({"N": 1.5}, "N must be an integer, got 1.5"),
+            ({"N": True}, "N must be an integer, got True"),
+            ({"N": 100.0}, "N must be an integer, got 100.0"),
         ],
     )
     def test_seed_and_windows_checked_before_first_run(self, monkeypatch, kwargs, message):
@@ -237,6 +242,11 @@ class TestRunExperiment:
     def test_runs_must_be_positive(self, runs):
         with pytest.raises(ValueError, match="runs"):
             run_experiment(tiny_spec(), methods=("act",), windows=(2,), runs=runs, N=100)
+
+    def test_numpy_integer_runs_and_n_accepted(self):
+        result = run_experiment(tiny_spec(), methods=("act",), windows=(2,), runs=np.int64(1),
+                                N=np.int32(100))
+        assert result.phi["act", 2].shape[0] == 1
 
     def test_performance_rows_sorted_and_complete(self):
         spec = tiny_spec()

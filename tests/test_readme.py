@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 import netchange
+from netchange import baselines, embedding, procrustes
 from netchange.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,3 +62,13 @@ def test_quoted_score_sequence_signature_matches():
         return_annotation=signature.empty,
     )
     assert quoted == [str(bare)]
+
+
+def test_solver_table_names_every_stopping_constant():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Each iterative loop stops by a rule held in two module constants", 1)[1]
+    rows = table.split("\n\n", 2)[1].splitlines()  # the paragraph after the sentence
+    named = {name for row in rows for name in re.findall(r"`([A-Z_]+)`", row.split("|")[3])}
+    defined = {name for module in (procrustes, embedding, baselines) for name in vars(module)
+               if name.startswith(("GPA_", "SPECTRAL_NORM_", "ACTIVITY_"))}
+    assert named == defined

@@ -9,7 +9,11 @@ thread (``OPENBLAS_NUM_THREADS=1``):
 - ``detect`` with cdp, act and actm at ``--seed 0`` and ``--seed 5``, on that
   sequence and on a copy relabelled by ``bench/run.py``'s ``relabel`` (seed 1);
 - ``evaluate`` as the benchmark's ``evaluate-n300`` workload runs it, at
-  ``--seed 0`` to ``3``.
+  ``--seed 0`` to ``3``;
+- ``simulate`` of the same scenario at ``--scale 0.1`` (n=90), seeds 0 and
+  1, and cdp ``detect`` on each at the matching ``--seed``: the sequences of
+  the tier-1 fingerprint test, where the rank search keeps d=7-35 and one
+  flipped-norm power iteration stops at its sweep cap (seed 1).
 
 Every output file except ``manifest.json`` and ``timings.csv``, which hold
 timings, is compared byte for byte.  One line is printed per file; the exit
@@ -58,6 +62,12 @@ def runs() -> list[tuple[str, list[str]]]:
                              *DETECT, "--seed", seed]))
     out += [(f"evaluate-n300-seed{seed}", ["evaluate", *EVALUATE, "--seed", str(seed)])
             for seed in range(4)]
+    for seed in ("0", "1"):
+        out += [(f"simulate-n90-seed{seed}",
+                 ["simulate", *SEQUENCE, "--scale", "0.1", "--seed", seed]),
+                (f"detect-cdp-seed{seed}-n90",
+                 ["detect", "--input", f"simulate-n90-seed{seed}/sequence.tsv", "--method", "cdp",
+                  *DETECT, "--seed", seed])]
     return out
 
 
