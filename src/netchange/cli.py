@@ -7,6 +7,7 @@ line: ``t i j weight`` with a 1-based time index, 0-based vertex indices,
 UTF-8 text, LF, CRLF or lone-CR line endings, and ``#`` comments.  Each
 undirected edge may be listed once (it is mirrored) or twice with the same
 weight; conflicting duplicates are rejected.  Missing pairs have weight zero.
+numpy's text reader reads each file; one it rejects is read line by line.
 
 Every command writes a ``manifest.json`` recording the merged
 configuration, input/output paths, seed, per-stage wall-clock timings, and
@@ -18,15 +19,16 @@ peak resident memory of the command and of its largest worker.  A flat
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import csv
 import json
 import math
 import sys
 import time
+import warnings
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -53,90 +55,82 @@ from .pipeline import score_sequence, worker_count
 # edge-list format
 
 
-# The bytes of a plain file: decimal digits and the whitespace that both
-# `str.split` and numpy's text parser skip, every one of which sorts below "0".
-_PLAIN_BYTES = b"0123456789 \t\n\v\f\r"
-_MAX_PLAIN_DIGITS = 18  # any 18-digit token fits in int64
+def _loaded_columns(path: Path) -> tuple[np.ndarray, ...] | None:
+    """The t, i, j and weight columns as numpy's text reader reads them; None if it cannot.
 
-
-def _plain_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
-    """The t, i, j, weight and line-number columns of a plain file; None otherwise.
-
-    Plain is ASCII digits and whitespace only, four tokens on each non-blank
-    line, at most 18 digits a token and every t >= 1: text on which
-    `_parsed_columns` would read the same columns and raise nothing.  Lines
-    end as in Python's universal newlines (LF, CRLF or a lone CR).
+    None too where a t is below 1, an index negative or a weight negative or
+    not finite: the line reader words those errors.  Wherever this returns
+    columns, `_parsed_columns` returns the same ones.  numpy is handed an
+    open file, not the name, so that it decompresses no ``.gz`` input.
     """
-    if data.translate(None, _PLAIN_BYTES):  # some other byte: one C pass, no array built
+    try:
+        with warnings.catch_warnings(), open(path, encoding="utf-8-sig") as handle:
+            warnings.simplefilter("error")  # an empty file, or an index read via a float
+            t, i, j, w = np.loadtxt(handle, dtype="i8,i8,i8,f8", ndmin=1, unpack=True)
+    except (ValueError, Warning):  # a malformed or non-UTF-8 file, or one without rows
         return None
-    b = np.frombuffer(data, dtype=np.uint8)
-    digit = (b >= ord("0")).view(np.int8)
-    pad = np.int8(0)  # an int 0 would widen the diff to int64
-    edge = np.diff(digit, prepend=pad, append=pad)  # +1 where a token starts, -1 past its end
-    starts = np.flatnonzero(edge == 1)
-    if not starts.size or starts.size % 4:  # no edges: the line reader names the file
+    if np.any(t < 1) or np.any(np.minimum(i, j) < 0) or not np.all(np.isfinite(w) & (w >= 0)):
         return None
-    if (np.flatnonzero(edge == -1) - starts).max() > _MAX_PLAIN_DIGITS:
-        return None
-    lf, cr = b == ord("\n"), b == ord("\r")
-    cr[:-1] &= ~lf[1:]  # the CR of a CRLF ends no line of its own
-    breaks = np.flatnonzero(lf | cr)
-    # the lines of each edge's first and last token: all four on one line, one edge a line
-    first, last = (np.searchsorted(breaks, starts[k::4]) for k in (0, 3))
-    if np.any(first != last) or np.any(first[1:] == first[:-1]):
-        return None
-    del digit, edge, starts, lf, cr  # freed before the values are read: a lower peak
-    t, i, j, w = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 4).T
-    if np.any(t < 1):
-        return None
-    return t, i, j, w.astype(float), first + 1
+    return t, i, j, w
+
+
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """The 1-based number and the text before any ``#`` of each line that holds a token."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:  # raised for a whole chunk: name the byte's line
+        lines = path.read_bytes().splitlines()  # at LF, CRLF or CR, as the lines above
+        lineno = next(k for k, line in enumerate(lines, 1)
+                      if line.decode(errors="ignore").encode() != line)
+        raise FormatError(f"{path.name}:{lineno}: byte 0x{exc.object[exc.start]:02x} "
+                          f"is not UTF-8 ({exc.reason})") from None
+
+
+def _line_of(path: Path, row: int) -> int:
+    """The file line of the 0-based data row `row`, as both readers count rows."""
+    return next(islice(_data_lines(path), int(row), None))[0]
 
 
 def _parsed_columns(path: Path) -> tuple[np.ndarray, ...]:
-    """The t, i, j, weight and line-number columns of any file, read line by line.
+    """The t, i, j and weight columns of any file, read line by line.
 
     Every line-numbered format error is raised here.  Lines are read into
     flat arrays rather than a Python object per edge.
     """
-    times, firsts, seconds, linenos = (array("q") for _ in range(4))
-    weights = array("d")
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(
-                    f"{path.name}:{lineno}: expected 't i j weight', got {len(parts)} fields"
-                )
-            try:
-                t = int(parts[0])
-                i = int(parts[1])
-                j = int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path.name}:{lineno}: non-integer index: {exc}") from exc
-            try:
-                weight = float(parts[3])
-            except ValueError as exc:
-                raise FormatError(f"{path.name}:{lineno}: non-numeric weight: {exc}") from exc
-            if t < 1:
-                raise FormatError(f"{path.name}:{lineno}: time index must be >= 1, got {t}")
-            if i < 0 or j < 0:
-                raise FormatError(f"{path.name}:{lineno}: vertex indices must be >= 0")
-            if not math.isfinite(weight):
-                raise FormatError(f"{path.name}:{lineno}: weight must be finite")
-            if weight < 0:
-                raise FormatError(f"{path.name}:{lineno}: weight must be nonnegative: {weight}")
-            try:
-                times.append(t)
-                firsts.append(i)
-                seconds.append(j)
-            except OverflowError:
-                raise FormatError(f"{path.name}:{lineno}: index does not fit in 64 bits") from None
-            linenos.append(lineno)
-            weights.append(weight)
-    return tuple(map(np.array, (times, firsts, seconds, weights, linenos)))
+    times, firsts, seconds, weights = array("q"), array("q"), array("q"), array("d")
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError(f"{path.name}:{lineno}: expected 't i j weight', "
+                              f"got {len(parts)} fields")
+        try:
+            t, i, j = map(int, parts[:3])
+        except ValueError as exc:
+            raise FormatError(f"{path.name}:{lineno}: non-integer index: {exc}") from exc
+        try:
+            weight = float(parts[3])
+        except ValueError as exc:
+            raise FormatError(f"{path.name}:{lineno}: non-numeric weight: {exc}") from exc
+        if t < 1:
+            raise FormatError(f"{path.name}:{lineno}: time index must be >= 1, got {t}")
+        if i < 0 or j < 0:
+            raise FormatError(f"{path.name}:{lineno}: vertex indices must be >= 0")
+        if not math.isfinite(weight):
+            raise FormatError(f"{path.name}:{lineno}: weight must be finite")
+        if weight < 0:
+            raise FormatError(f"{path.name}:{lineno}: weight must be nonnegative: {weight}")
+        try:
+            times.append(t)
+            firsts.append(i)
+            seconds.append(j)
+        except OverflowError:
+            raise FormatError(f"{path.name}:{lineno}: index does not fit in 64 bits") from None
+        weights.append(weight)
+    return tuple(map(np.array, (times, firsts, seconds, weights)))
 
 
 def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
@@ -144,39 +138,35 @@ def ingest_sequence(path: str | Path) -> list[SnapshotMatrix]:
 
     The vertex count is one past the largest index seen anywhere in the
     file.  An edge listed once is mirrored; listing both orientations (or
-    repeating a line) is accepted only when the weights agree.  The text
-    itself picks one of two readers, and both give the same snapshots and
-    the same errors.  A plain file (see `_plain_columns`), as `simulate`
-    writes, is read once as bytes and parsed in a few numpy passes, which
-    peak at about 10 bytes per byte of the file (120 per line of
-    `simulate` output).  Any other file (comments, signs, decimal weights,
-    non-ASCII text, no edges, any malformed line) is read again, line by
-    line, into flat arrays of about 40 bytes per line; that reader alone
-    raises the line-numbered format errors.
+    repeating a line) is accepted only when the weights agree.  Every file
+    is first read by numpy's text reader (`_loaded_columns`).  A file it
+    rejects, or one holding a value the format forbids, is read again line
+    by line (`_parsed_columns`), and that reader alone words the
+    line-numbered format errors.  Both give the same columns, so the same
+    snapshots.  The two errors raised here, an index too large and a
+    conflicting weight, name the earliest offending row's line.
     """
     path = Path(path)
-    columns = _plain_columns(path.read_bytes().removeprefix(codecs.BOM_UTF8))
-    t, i, j, weights, linenos = columns if columns is not None else _parsed_columns(path)
+    t, i, j, weights = _loaded_columns(path) or _parsed_columns(path)
     if not t.size:
         raise FormatError(f"{path.name}: no edges found")
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     n = int(hi.max()) + 1
     if n > MAX_VERTICES:  # the grouping key below would overflow int64
-        at = linenos[np.argmax(hi)]
+        at = _line_of(path, np.argmax(hi))
         raise FormatError(f"{path.name}:{at}: vertex index {n - 1} exceeds {MAX_VERTICES - 1}")
-    # group the lines by (t, pair), each group in file order
+    # group the rows by (t, pair), each group in file order
     order = np.lexsort((lo * n + hi, t))
-    t, lo, hi = t[order], lo[order], hi[order]
-    w, line = weights[order], linenos[order]
+    t, lo, hi, w = t[order], lo[order], hi[order], weights[order]
     first = np.ones(t.size, dtype=bool)
     first[1:] = (t[1:] != t[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     agreed = w[first][np.cumsum(first) - 1]
     clash = np.flatnonzero(w != agreed)
     if clash.size:
-        k = clash[np.argmin(line[clash])]
+        k = clash[np.argmin(order[clash])]
         raise FormatError(
-            f"{path.name}:{line[k]}: conflicting weight for edge {(int(lo[k]), int(hi[k]))} "
-            f"at t={t[k]}: {float(agreed[k])} vs {float(w[k])}"
+            f"{path.name}:{_line_of(path, order[k])}: conflicting weight for edge "
+            f"{(int(lo[k]), int(hi[k]))} at t={t[k]}: {float(agreed[k])} vs {float(w[k])}"
         )
     if n < 2:
         raise FormatError(f"{path.name}: need at least 2 vertices, inferred n={n}")
@@ -399,8 +389,13 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message):  # raise what argparse would print under its usage
+        raise FormatError(message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="netchange",
         description="Vertex-level change detection in dynamic weighted networks.",
     )
@@ -475,7 +470,10 @@ def main(argv: list[str] | None = None) -> int:
             for key, value in read_config_file(args.config).items():
                 file_args.extend([f"--{key.replace('_', '-')}", value])
             # file values act as defaults: explicit flags come later and win
-            args = parser.parse_args([argv[0], *file_args, *argv[1:]])
+            try:  # the command line alone parsed, so the file's keys are at fault
+                args = build_parser(_RaisingParser).parse_args([argv[0], *file_args, *argv[1:]])
+            except FormatError as exc:
+                raise FormatError(f"{args.config}: {exc}") from None
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         out = Path(args.out)

@@ -234,10 +234,13 @@ class TestIngest:
         bom = "\ufeff" * (seed % 3 == 2)
         plain.write_bytes((bom + text).encode())
         commented.write_bytes((bom + text + "\n# x\n").encode())
-        expected = self.outcome(commented)  # a comment forces the line-by-line reader
+        with monkeypatch.context() as patched:
+            patched.setattr("netchange.cli._loaded_columns", lambda path: None)
+            expected = self.outcome(plain)  # as the line-by-line reader reads it
         monkeypatch.setattr("netchange.cli._parsed_columns", not_line_by_line)
-        assert self.outcome(plain) == (expected.replace("commented.tsv", "plain.tsv")
-                                       if isinstance(expected, str) else expected)
+        for path in (plain, commented):
+            assert self.outcome(path) == (expected.replace("plain.tsv", path.name)
+                                          if isinstance(expected, str) else expected)
 
     def test_simulated_sequence_is_plain(self, tmp_path, monkeypatch):
         out = tmp_path / "sim"
@@ -258,8 +261,71 @@ class TestIngest:
         ],
     )
     def test_near_plain_file_read_line_by_line(self, tmp_path, text, edge):
+        # unusual separators and tokens, read to these edges by either reader
         [snap] = ingest_sequence(write(tmp_path / "x.tsv", text))
         assert [a.tolist() for a in snap.edges] == [[v] for v in edge]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, end):
+        path = tmp_path / "x.tsv"
+        path.write_bytes(f"\ufeff# t i j weight{end}1 0 1 2{end}".encode() + b"1 0 \xff 2\n")
+        with pytest.raises(FormatError) as caught:
+            ingest_sequence(path)
+        assert str(caught.value) == "x.tsv:3: byte 0xff is not UTF-8 (invalid start byte)"
+
+
+class TestReadersAgree:
+    """Wherever numpy's text reader takes a file, it reads what the line reader reads."""
+
+    INDICES = ["0", "1", "2", "5", "+3", "-0", "-1", "007", "1_0", "\u0663", "1.0",
+               "12345678901234567890"]
+    WEIGHTS = ["1", "7", "2.5", "1e-3", "3E2", "4.9e-324", "-0", "-2", "1e400", "inf", "nan",
+               "0x10", "1_0"]
+    GAPS = [" ", "\t", "\v", "\f", "\x1c", "\xa0", "\u2003", "\x85"]
+    ENDS = ["\n", "\r\n", "\r"]
+
+    @classmethod
+    def text(cls, rng) -> str:
+        """A few lines, each field a plain value or, now and then, an unusual token."""
+        def pick(common, tokens):
+            return str(rng.choice(tokens)) if rng.random() < 0.08 else str(common)
+
+        lines = []
+        for _ in range(int(rng.integers(1, 6))):
+            u = rng.random()
+            if u < 0.1:
+                lines.append("# comment")
+                continue
+            fields = [pick(rng.integers(1, 4), cls.INDICES), pick(rng.integers(0, 6), cls.INDICES),
+                      pick(rng.integers(0, 6), cls.INDICES), pick(rng.integers(0, 9), cls.WEIGHTS)]
+            if u > 0.97:
+                fields = fields[: int(rng.integers(0, 4))]
+            gap = str(rng.choice(cls.GAPS)) if rng.random() < 0.2 else " "
+            lines.append(gap.join(fields) + (" # note" if rng.random() < 0.1 else ""))
+        end = str(rng.choice(cls.ENDS))
+        return "\ufeff" * (rng.random() < 0.1) + end.join(lines) + end * (rng.random() < 0.8)
+
+    def test_loaded_columns_equal_parsed_columns(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "x.tsv"
+        loaded = line_only = rejected = 0
+        for _ in range(1500):
+            path.write_text(self.text(rng), encoding="utf-8", newline="")
+            columns = netchange.cli._loaded_columns(path)
+            try:
+                parsed = netchange.cli._parsed_columns(path)
+            except FormatError:
+                rejected += 1
+                assert columns is None, path.read_text(newline="")
+                continue
+            if columns is None:
+                line_only += 1
+                continue
+            loaded += 1
+            assert [(a.dtype, a.tobytes()) for a in columns] == \
+                [(a.dtype, a.tobytes()) for a in parsed], path.read_text(newline="")
+        assert loaded > 500 and line_only > 50 and rejected > 200  # every kind of file is met
+
 
 class TestWriteCsv:
     def test_numpy_float_cell_writes_plain_digits(self, tmp_path):
@@ -314,7 +380,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "text, message",
-        [(None, "No such file"), ("just-a-token\n", "run.cfg:1: expected 'key = value'")],
+        [
+            (None, "No such file"),
+            ("just-a-token\n", "run.cfg:1: expected 'key = value'"),
+            ("foo = 1\n", "run.cfg: unrecognized arguments: --foo 1"),
+            ("T = x\n", "run.cfg: argument --T: invalid int value: 'x'"),
+        ],
     )
     def test_config_error_fails_in_setup(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "run.cfg"

@@ -8,6 +8,8 @@ thread (``OPENBLAS_NUM_THREADS=1``):
 - ``simulate`` group-change, point change, T=30, seed 0, at n=900;
 - ``detect`` with cdp, act and actm at ``--seed 0`` and ``--seed 5``, on that
   sequence and on a copy relabelled by ``bench/run.py``'s ``relabel`` (seed 1);
+- cdp and act ``detect`` at ``--seed 0`` on a copy of that sequence with one
+  ``# x`` comment line appended;
 - ``evaluate`` as the benchmark's ``evaluate-n300`` workload runs it, at
   ``--seed 0`` to ``3``;
 - ``simulate`` of the same scenario at ``--scale 0.1`` (n=90), seeds 0 and
@@ -60,6 +62,9 @@ def runs() -> list[tuple[str, list[str]]]:
                 out.append((f"detect-{method}-seed{seed}-{source}",
                             ["detect", "--input", f"{source}/sequence.tsv", "--method", method,
                              *DETECT, "--seed", seed]))
+    out += [(f"detect-{method}-seed0-commented",
+             ["detect", "--input", "commented/sequence.tsv", "--method", method,
+              *DETECT, "--seed", "0"]) for method in ("cdp", "act")]
     out += [(f"evaluate-n300-seed{seed}", ["evaluate", *EVALUATE, "--seed", str(seed)])
             for seed in range(4)]
     for seed in ("0", "1"):
@@ -81,6 +86,9 @@ def run_all(checkout: Path, work: Path, relabel) -> None:
             (work / "relabelled").mkdir()
             shutil.copy(work / "simulate" / "sequence.tsv", work / "relabelled")
             relabel(work / "relabelled" / "sequence.tsv", RELABEL_SEED)
+            (work / "commented").mkdir()
+            text = (work / "simulate" / "sequence.tsv").read_text(encoding="utf-8")
+            (work / "commented" / "sequence.tsv").write_text(text + "# x\n", encoding="utf-8")
 
 
 def compare(before: Path, after: Path) -> int:
