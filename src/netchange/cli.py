@@ -12,8 +12,10 @@ numpy's text reader reads each file; one it rejects is read line by line.
 Every command writes a ``manifest.json`` recording the merged
 configuration, input/output paths, seed, per-stage wall-clock timings, and
 the tool version; ``detect`` and ``evaluate`` add their worker count and the
-peak resident memory of the command and of its largest worker.  A flat
-``key = value`` config file can pre-set any flag; explicit flags win.
+peak resident memory of the command and of its largest worker.  A
+``--config`` file is read as the command line it stands for: each ``key =
+value`` line, read by the edge-list line rules, becomes ``--key value`` ahead
+of the explicit flags, which win.  Keys are full flag names, ``_`` or ``-``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _loaded_columns(path: Path) -> tuple[np.ndarray, ...] | None:
 
 
 def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """The 1-based number and the text before any ``#`` of each line that holds a token."""
+    """The 1-based number and pre-``#`` text of each token line of an edge list or config file."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -375,21 +377,10 @@ def cmd_evaluate(args, out: Path, stages: _Stage):
 # argument handling
 
 
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat 'key = value' file mirroring the command-line flags."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
 class _RaisingParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a --config file's flags: full names only, no --help
+        super().__init__(**kwargs, allow_abbrev=False, add_help=False)
+
     def error(self, message):  # raise what argparse would print under its usage
         raise FormatError(message)
 
@@ -466,14 +457,17 @@ def main(argv: list[str] | None = None) -> int:
     made: list[Path] = []  # the directories this run creates, deepest first
     try:
         if args.config:
-            file_args = []
-            for key, value in read_config_file(args.config).items():
-                file_args.extend([f"--{key.replace('_', '-')}", value])
+            config, file_args = Path(args.config), []
+            for lineno, line in _data_lines(config):  # the edge lists' line rules
+                key, eq, value = map(str.strip, line.partition("="))
+                if not (eq and key):
+                    raise FormatError(f"{config.name}:{lineno}: expected 'key = value'")
+                file_args += [f"--{key.replace('_', '-')}", value]
             # file values act as defaults: explicit flags come later and win
             try:  # the command line alone parsed, so the file's keys are at fault
                 args = build_parser(_RaisingParser).parse_args([argv[0], *file_args, *argv[1:]])
             except FormatError as exc:
-                raise FormatError(f"{args.config}: {exc}") from None
+                raise FormatError(f"{config.name}: {exc}") from None
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         out = Path(args.out)

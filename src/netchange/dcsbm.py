@@ -241,6 +241,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.f0.n != self.f1.n:
             raise ValueError("both models must share the vertex count")
+        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
+            raise ValueError(f"T must be an integer, got {self.T!r}")
         change = self.change
         if not (change.step == 1 and 1 < change.start < change.stop <= self.T + 1):
             raise ValueError(f"change {change.start}..{change.stop - 1} invalid for T={self.T}")

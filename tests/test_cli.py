@@ -20,7 +20,6 @@ from netchange.baselines import activity
 from netchange.cli import (
     ingest_sequence,
     main,
-    read_config_file,
     write_csv,
     write_sequence,
 )
@@ -342,8 +341,12 @@ class TestWriteCsv:
 class TestConfigFile:
     def test_parse_and_merge(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", "window = 3\nmethod = act\n# note\n")
-        values = read_config_file(cfg)
-        assert values == {"window": "3", "method": "act"}
+        edges = write(tmp_path / "e.tsv", "1 0 1 1\n2 0 1 2\n3 1 0 1\n4 0 1 3\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--input", str(edges), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["window"] == 3 and manifest["config"]["method"] == "act"
 
     def test_flags_override_file(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", "window = 3\n")
@@ -373,10 +376,28 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["window"] == 1 and manifest["config"]["method"] == "act"
 
-    def test_malformed_config_rejected(self, tmp_path):
+    def test_malformed_config_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", "just-a-token\n")
-        with pytest.raises(FormatError):
-            read_config_file(cfg)
+        edges = write(tmp_path / "e.tsv", "1 0 1 1\n2 0 1 2\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--input", str(edges), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("netchange detect: stage 'setup' failed: "
+                                           "run.cfg:1: expected 'key = value'\n")
+        assert not out.exists()
+
+    def test_abbreviated_key_rejected(self, tmp_path, capsys):
+        # `t` is a unique prefix of --threshold, which argparse would expand
+        cfg = write(tmp_path / "run.cfg", "t = 0.5\n")
+        edges = write(tmp_path / "e.tsv", "1 0 1 1\n2 0 1 2\n3 1 0 1\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--input", str(edges), "--method", "act", "--window", "1",
+                "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("netchange detect: stage 'setup' failed: "
+                       "run.cfg: unrecognized arguments: --t 0.5\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -385,11 +406,18 @@ class TestConfigFile:
             ("just-a-token\n", "run.cfg:1: expected 'key = value'"),
             ("foo = 1\n", "run.cfg: unrecognized arguments: --foo 1"),
             ("T = x\n", "run.cfg: argument --T: invalid int value: 'x'"),
+            ("sce = split\n", "run.cfg: unrecognized arguments: --sce split"),
+            ("help = 1\n", "run.cfg: unrecognized arguments: --help 1"),
+            (b"T = 24\n\xff = 2\n", "run.cfg:2: byte 0xff is not UTF-8"),
+            ("T = 24\x0cscale = 0.1\n", "run.cfg: argument --T: invalid int value: '24\\x0c"),
+            ("T = 24\n = 3\n", "run.cfg:2: expected 'key = value'"),
         ],
     )
     def test_config_error_fails_in_setup(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "run.cfg"
-        if text is not None:
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        elif text is not None:
             write(cfg, text)
         out = tmp_path / "o"
         argv = ["simulate", "--scenario", "split", "--config", str(cfg), "--out", str(out)]

@@ -36,10 +36,13 @@ def test_one_line_per_file_and_timings_skipped(tmp_path, capsys):
 
 
 def test_commands_cover_every_method_seed_and_input():
-    names = [name for name, _argv in load_tool().runs()]
+    tool = load_tool()
+    names = [name for name, _argv in tool.runs()]
     assert names[0] == "simulate"
-    assert len(names) == len(set(names)) == 1 + 3 * 2 * 2 + 2 + 4 + 2 * 2
+    assert len(names) == len(set(names)) == 1 + 3 * 2 * 2 + 2 + 1 + 4 + 2 * 2
     assert "detect-actm-seed5-relabelled" in names
     assert "detect-act-seed0-commented" in names
+    assert "detect-act-seed0-config" in names
+    assert dict(tool.runs())["detect-act-seed0-simulate"][3:] == tool.CONFIG
     assert "evaluate-n300-seed3" in names
     assert names.index("simulate-n90-seed1") < names.index("detect-cdp-seed1-n90")

@@ -234,11 +234,19 @@ class TestScenario:
         [
             ({"change_type": "sustained"}, "unknown change type 'sustained'"),
             ({"scale": 0.005}, "rounds the paired models to different sizes (6 vs 5)"),
+            ({"T": 30.5}, "T must be an integer, got 30.5"),
+            ({"T": True}, "T must be an integer, got True"),
+            ({"T": 30.0}, "T must be an integer, got 30.0"),
         ],
     )
     def test_rejection_names_its_cause(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             scenario("group-change", **kwargs)
+
+    def test_numpy_integer_T_accepted(self):
+        spec = scenario("split", T=np.int64(24), scale=0.1)
+        assert spec.T == 24
+        assert len(generate_sequence(spec, np.random.default_rng(0))) == 24
 
     def test_paired_models_share_fixed_parameters(self):
         from netchange.dcsbm import SCENARIO_NAMES

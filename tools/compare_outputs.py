@@ -10,6 +10,10 @@ thread (``OPENBLAS_NUM_THREADS=1``):
   sequence and on a copy relabelled by ``bench/run.py``'s ``relabel`` (seed 1);
 - cdp and act ``detect`` at ``--seed 0`` on a copy of that sequence with one
   ``# x`` comment line appended;
+- act ``detect`` on that sequence with its ``--method``, ``--window``,
+  ``--epsilon``, ``--threshold`` and ``--seed`` (those of the act ``--seed 0``
+  run above) read from ``detect.cfg``, a ``--config`` file with a comment
+  line and CRLF line ends;
 - ``evaluate`` as the benchmark's ``evaluate-n300`` workload runs it, at
   ``--seed 0`` to ``3``;
 - ``simulate`` of the same scenario at ``--scale 0.1`` (n=90), seeds 0 and
@@ -40,6 +44,7 @@ TIMED = {"manifest.json", "timings.csv"}
 RELABEL_SEED = 1
 SEQUENCE = ["--scenario", "group-change", "--change-type", "point", "--T", "30"]
 DETECT = ["--window", "5", "--epsilon", "0.005", "--threshold", "5.0"]
+CONFIG = ["--method", "act", *DETECT, "--seed", "0"]  # detect.cfg's flags
 EVALUATE = SEQUENCE + ["--methods", "cdp,act,actm", "--windows", "1,5,10", "--runs", "4",
                        "--epsilon", "0.005", "--phi-samples", "100000", "--scale", repr(1 / 3)]
 
@@ -65,6 +70,8 @@ def runs() -> list[tuple[str, list[str]]]:
     out += [(f"detect-{method}-seed0-commented",
              ["detect", "--input", "commented/sequence.tsv", "--method", method,
               *DETECT, "--seed", "0"]) for method in ("cdp", "act")]
+    out.append(("detect-act-seed0-config",
+                ["detect", "--input", "simulate/sequence.tsv", "--config", "detect.cfg"]))
     out += [(f"evaluate-n300-seed{seed}", ["evaluate", *EVALUATE, "--seed", str(seed)])
             for seed in range(4)]
     for seed in ("0", "1"):
@@ -89,6 +96,9 @@ def run_all(checkout: Path, work: Path, relabel) -> None:
             (work / "commented").mkdir()
             text = (work / "simulate" / "sequence.tsv").read_text(encoding="utf-8")
             (work / "commented" / "sequence.tsv").write_text(text + "# x\n", encoding="utf-8")
+            lines = ["# the flags of detect-act-seed0-simulate"]
+            lines += [f"{flag[2:]} = {value}" for flag, value in zip(CONFIG[::2], CONFIG[1::2])]
+            (work / "detect.cfg").write_bytes("".join(f"{line}\r\n" for line in lines).encode())
 
 
 def compare(before: Path, after: Path) -> int:
