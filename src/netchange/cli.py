@@ -46,7 +46,7 @@ from .dcsbm import (
     scenario,
 )
 from .embedding import DEFAULT_RANK_EPSILON
-from .errors import FormatError, NetchangeError
+from .errors import FormatError, NetchangeError, checked_int
 from .evaluation import DEFAULT_PHI_SAMPLES, run_experiment
 from .graph import MAX_VERTICES, SnapshotMatrix
 from .pipeline import DEFAULT_WINDOW, DEFAULT_ZSCORE_THRESHOLD, METHODS, CdpConfig, ScoreSeries
@@ -468,8 +468,7 @@ def main(argv: list[str] | None = None) -> int:
                 args = build_parser(_RaisingParser).parse_args([argv[0], *file_args, *argv[1:]])
             except FormatError as exc:
                 raise FormatError(f"{config.name}: {exc}") from None
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        checked_int("--seed", args.seed, least=0)
         out = Path(args.out)
         made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProbability
+from .errors import InvalidProbability, checked_int
 from .graph import MAX_VERTICES, SnapshotMatrix
 
 # shared catalog constants: block-size vector is per model, everything else fixed
@@ -54,11 +54,7 @@ class DcsbmModel:
     name: str = ""
 
     def __post_init__(self):
-        g = tuple(int(x) for x in self.g)
-        if g != tuple(self.g):
-            raise ValueError(f"block sizes must be integers, got {tuple(self.g)}")
-        if any(x < 1 for x in g):
-            raise ValueError("every block must contain at least one vertex")
+        g = tuple(checked_int("block size", x, least=1) for x in self.g)
         B = np.array(self.B, dtype=float)
         B.flags.writeable = False
         k = len(g)
@@ -241,11 +237,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.f0.n != self.f1.n:
             raise ValueError("both models must share the vertex count")
-        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
-            raise ValueError(f"T must be an integer, got {self.T!r}")
+        T = checked_int("T", self.T)
         change = self.change
-        if not (change.step == 1 and 1 < change.start < change.stop <= self.T + 1):
-            raise ValueError(f"change {change.start}..{change.stop - 1} invalid for T={self.T}")
+        if not (change.step == 1 and 1 < change.start < change.stop <= T + 1):
+            raise ValueError(f"change {change.start}..{change.stop - 1} invalid for T={T}")
         cv = np.asarray(self.changed_vertices)
         if cv.ndim != 1 or (cv.size and not np.issubdtype(cv.dtype, np.integer)):
             raise ValueError(f"changed vertices must be a 1-d integer index array, got {cv.dtype}")
@@ -255,6 +250,7 @@ class ScenarioSpec:
         if cv.size == 0 or cv.size >= self.f0.n or cv[0] < 0 or cv[-1] >= self.f0.n:
             raise ValueError("changed vertices must be a proper nonempty subset")
         cv.flags.writeable = False
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "changed_vertices", cv)
 
     @property

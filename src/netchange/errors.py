@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer-argument check shared across the package."""
+
+import numpy as np
 
 
 class NetchangeError(Exception):
@@ -35,3 +37,12 @@ class EmptyPartition(NetchangeError):
 
 class FormatError(NetchangeError):
     """An input file does not conform to the documented edge-list format."""
+
+
+def checked_int(name: str, value, least: int | None = None) -> int:
+    """`value` as an int: the one check of every count and seed (a bool or float is no integer)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)

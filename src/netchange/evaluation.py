@@ -7,8 +7,8 @@ exceedance probability phi: the chance that a randomly chosen changed
 vertex outscores a randomly chosen unchanged one at a given instant.  phi
 is estimated by paired resampling, mapped to log odds for symmetry, and
 differenced between consecutive instants to isolate jumps caused by model
-transitions.  Runs are repeated with independently derived seeds
-(base XOR run index) and compared across methods with exact sign tests.
+transitions.  Run r of base seed b draws from seed b XOR r (`run_seed`),
+and methods are compared on the same runs with exact sign tests.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .dcsbm import ScenarioSpec, generate_sequence
 from .embedding import DEFAULT_RANK_EPSILON
-from .errors import EmptyPartition
+from .errors import EmptyPartition, checked_int
 from .pipeline import DEFAULT_WINDOW, METHODS, CdpConfig, _map_in_workers, _series_keys
 from .pipeline import score_sequence, worker_count
 
@@ -45,8 +45,7 @@ def estimate_phi(
     z_unchanged = np.asarray(z_unchanged, dtype=float)
     if z_changed.size == 0 or z_unchanged.size == 0:
         raise EmptyPartition("both score partitions must be nonempty")
-    if N < 1:
-        raise ValueError("sample count must be positive")
+    N = checked_int("N", N, least=1)
     changed = z_changed[rng.integers(0, z_changed.size, N)]
     unchanged = z_unchanged[rng.integers(0, z_unchanged.size, N)]
     phi = np.count_nonzero(changed > unchanged) / N
@@ -158,7 +157,11 @@ class ExperimentResult:
 
 
 def run_seed(base_seed: int, run_index: int) -> int:
-    """Per-run seed: base XOR run index, so runs are independently seeded."""
+    """Per-run seed: base XOR run index, distinct within a study but not across base seeds.
+
+    For b below 2^m and a run count that is a multiple of 2^m, every base seed
+    b scores the same sequences: `--seed 1` with 20 runs repeats `--seed 0`'s.
+    """
     return base_seed ^ run_index
 
 
@@ -218,24 +221,18 @@ def run_experiment(
     sequence so cross-method comparisons are paired.  Every argument, epsilon
     included, is checked before the first run is drawn: epsilon and the seed
     by `CdpConfig`, the methods and windows as `score_sequence` checks them,
-    and `runs` and `N` must be integers (numpy ones included, bool not).
+    and `runs` and `N` by `checked_int`, as ints >= 1.
     Runs are scored in `worker_count(runs)` processes, recorded in
     `workers`; no other field depends on how many.
     """
     config = CdpConfig(epsilon_rank=epsilon_rank, seed=seed)
     methods, windows = _series_keys(methods, windows)
-    for name, value in (("runs", runs), ("N", N)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if N < 1:
-        raise ValueError(f"phi sample count N must be >= 1, got {N}")
+    runs, N = checked_int("runs", runs, least=1), checked_int("N", N, least=1)
     if windows[-1] >= spec.change.start:
         raise ValueError(f"window {windows[-1]} must be smaller than t*={spec.change.start}")
 
     score_run = functools.partial(_score_run, spec, methods, windows, N, config)
-    rseeds = [run_seed(seed, run) for run in range(runs)]
+    rseeds = [run_seed(config.seed, run) for run in range(runs)]
     workers = worker_count(runs)
     per_run = _map_in_workers(score_run, rseeds, workers)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyGraph, InvalidWeight, NotSymmetric
+from .errors import EmptyGraph, InvalidWeight, NotSymmetric, checked_int
 
 # largest n whose pair keys min * n + max, diagonal (n-1, n-1) included, fit in int64
 MAX_VERTICES = math.isqrt(int(np.iinfo(np.int64).max) + 1)
@@ -72,8 +72,7 @@ class SnapshotMatrix:
             raise ValueError("vertex indices must be integers")
         rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
         weights = np.asarray(weights, dtype=float)
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError(f"the vertex count n must be an integer, got {n!r}")
+        n = checked_int("the vertex count n", n)
         if not 2 <= n <= MAX_VERTICES:
             raise ValueError(f"a snapshot needs 2 to {MAX_VERTICES} vertices, got n={n}")
         if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:

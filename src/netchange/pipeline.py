@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import DEFAULT_RANK_EPSILON, Embedding, embed
-from .errors import EmptyGraph
+from .errors import EmptyGraph, checked_int
 from .graph import SnapshotMatrix, representation_matrix
 from .procrustes import change_scores, profile_embedding
 
@@ -52,11 +52,7 @@ class CdpConfig:
             raise ValueError("epsilon_rank must be positive and finite")
         if not np.isfinite(self.zscore_threshold):
             raise ValueError("zscore_threshold must be finite")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", checked_int("seed", self.seed, least=0))
 
 
 @dataclass(frozen=True)
@@ -202,11 +198,7 @@ def _series_keys(methods, windows) -> tuple[tuple[str, ...], tuple[int, ...]]:
         raise ValueError("need at least one method")
     if not windows:
         raise ValueError("need at least one window")
-    if odd := [w for w in windows if isinstance(w, bool) or not isinstance(w, (int, np.integer))]:
-        raise ValueError(f"windows must be integers, got {odd[0]!r}")
-    windows = tuple(sorted(set(windows)))
-    if windows[0] < 1:
-        raise ValueError(f"windows must be >= 1, got {windows[0]}")
+    windows = tuple(sorted({checked_int("windows", w, least=1) for w in windows}))
     return tuple(m for m in METHODS if m in methods), windows
 
 

@@ -21,6 +21,7 @@ from netchange.cli import (
     ingest_sequence,
     main,
     write_csv,
+    write_ground_truth,
     write_sequence,
 )
 from netchange.graph import MAX_VERTICES
@@ -472,6 +473,10 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "sequence.tsv").read_bytes() == (b / "sequence.tsv").read_bytes()
         assert (a / "ground_truth.json").read_bytes() == (b / "ground_truth.json").read_bytes()
+
+    def test_ground_truth_of_numpy_integer_T(self, tmp_path):
+        write_ground_truth(tmp_path / "truth.json", scenario("split", T=np.int64(24), scale=0.1))
+        assert '"T": 24,' in (tmp_path / "truth.json").read_text()
 
     def test_unknown_scenario_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

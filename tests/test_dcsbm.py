@@ -170,8 +170,26 @@ class TestSampleSnapshot:
             sample_snapshot(model, np.full(model.n, bad), np.random.default_rng(0))
 
     def test_non_integral_block_size_rejected(self):
-        with pytest.raises(ValueError, match=r"block sizes must be integers, got \(2\.5, 3\)"):
+        with pytest.raises(ValueError, match=r"^block size must be an integer, got 2\.5$"):
             DcsbmModel(g=(2.5, 3), B=np.eye(2), constant_theta=())
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            ((2.0, 3), "block size must be an integer, got 2.0"),
+            ((True, 3), "block size must be an integer, got True"),
+            ((np.float64(2.0), 3), "block size must be an integer, got np.float64(2.0)"),
+            ((0, 3), "block size must be >= 1, got 0"),
+        ],
+        ids=["2.0", "True", "np.float64", "0"],
+    )
+    def test_block_size_must_be_a_positive_integer(self, g, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DcsbmModel(g=g, B=np.eye(2), constant_theta=())
+
+    def test_numpy_integer_block_sizes_stored_as_ints(self):
+        model = DcsbmModel(g=(np.int64(2), 3), B=np.eye(2), constant_theta=())
+        assert model.g == (2, 3) and all(type(x) is int for x in model.g)
 
 
 class TestCatalog:
@@ -245,7 +263,7 @@ class TestScenario:
 
     def test_numpy_integer_T_accepted(self):
         spec = scenario("split", T=np.int64(24), scale=0.1)
-        assert spec.T == 24
+        assert type(spec.T) is int and spec.T == 24
         assert len(generate_sequence(spec, np.random.default_rng(0))) == 24
 
     def test_paired_models_share_fixed_parameters(self):

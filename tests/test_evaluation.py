@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import threading
 
 import numpy as np
@@ -51,6 +52,15 @@ class TestEstimatePhi:
     def test_empty_partition_rejected(self):
         with pytest.raises(EmptyPartition):
             estimate_phi(np.array([]), np.ones(5), 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "N, message",
+        [(True, "N must be an integer, got True"), (1.5, "N must be an integer, got 1.5"),
+         (0, "N must be >= 1, got 0")],
+    )
+    def test_sample_count_checked(self, N, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_phi(np.ones(3), np.ones(5), N, np.random.default_rng(0))
 
 
 class TestLogOdds:
@@ -183,6 +193,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec, methods=("act",), windows=(4,), runs=1, seed=0, N=100)
 
+    def test_numpy_integer_counts_used_as_ints(self, monkeypatch):
+        map_in_workers, seen = netchange.evaluation._map_in_workers, []
+
+        def record(score_run, rseeds, workers):
+            seen.append((score_run.args[3], rseeds))
+            return map_in_workers(score_run, rseeds, workers)
+
+        monkeypatch.setattr(netchange.evaluation, "_map_in_workers", record)
+        result = run_experiment(tiny_spec(), methods=("act",), windows=(np.int64(2),),
+                                runs=np.int64(2), seed=np.int64(1), N=np.int64(500))
+        (N, rseeds), = seen
+        assert type(N) is int and [type(s) for s in rseeds] == [int, int]
+        assert result.windows == (2,) and type(result.windows[0]) is int
+
     def test_unknown_method_named(self):
         with pytest.raises(ValueError, match="'pca'"):
             run_experiment(tiny_spec(), methods=("pca",), windows=(2,), runs=1, N=100)
@@ -206,8 +230,8 @@ class TestRunExperiment:
             ({"seed": True}, "seed must be an integer, got True"),
             ({"epsilon_rank": 0.0}, "epsilon_rank must be positive"),
             ({"epsilon_rank": float("inf")}, "epsilon_rank must be positive and finite"),
-            ({"windows": (1.5,)}, "windows must be integers, got 1.5"),
-            ({"windows": (2, True)}, "windows must be integers, got True"),
+            ({"windows": (1.5,)}, "windows must be an integer, got 1.5"),
+            ({"windows": (2, True)}, "windows must be an integer, got True"),
             ({"runs": 2.5}, "runs must be an integer, got 2.5"),
             ({"runs": True}, "runs must be an integer, got True"),
             ({"N": 1.5}, "N must be an integer, got 1.5"),

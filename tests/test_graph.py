@@ -154,6 +154,10 @@ class TestSnapshotMatrix:
         with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
             SnapshotMatrix.from_edges(3.5, [0, 1], [1, 2], [1.0, 2.0])
 
+    def test_from_edges_rejects_bool_vertex_count(self):
+        with pytest.raises(ValueError, match="^the vertex count n must be an integer, got True$"):
+            SnapshotMatrix.from_edges(True, [0, 1], [1, 2], [1.0, 2.0])
+
     def test_from_edges_rejects_repeated_pair(self):
         with pytest.raises(ValueError, match="more than once"):
             SnapshotMatrix.from_edges(3, [0, 2], [2, 0], [1.0, 1.0])

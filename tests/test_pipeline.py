@@ -74,6 +74,9 @@ class TestCdpConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CdpConfig(seed=seed)
 
+    def test_numpy_integer_seed_stored_as_int(self):
+        assert type(CdpConfig(seed=np.int64(3)).seed) is int
+
 
 class TestNormalizeAndDetect:
     def test_single_spike_detected(self):
@@ -240,9 +243,9 @@ class TestSweep:
         snapshots = [fixed_snapshot(10, seed=t, t=t) for t in range(1, 5)]
         message = {
             (): "need at least one window",
-            (1.5,): "^windows must be integers, got 1.5$",
-            (True,): "^windows must be integers, got True$",
-            (2, 1.0): r"^windows must be integers, got np.float64\(1.0\)$",
+            (1.5,): "^windows must be an integer, got 1.5$",
+            (True,): "^windows must be an integer, got True$",
+            (2, 1.0): r"^windows must be an integer, got np.float64\(1.0\)$",
         }.get(windows, "windows must be >= 1")
         with pytest.raises(ValueError, match=message):
             score_sequence(snapshots, CdpConfig(), ("actm",), windows)

@@ -6,7 +6,7 @@ import shlex
 from pathlib import Path
 
 import netchange
-from netchange import baselines, embedding, procrustes
+from netchange import baselines, embedding, graph, procrustes
 from netchange.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -72,3 +72,9 @@ def test_solver_table_names_every_stopping_constant():
     defined = {name for module in (procrustes, embedding, baselines) for name in vars(module)
                if name.startswith(("GPA_", "SPECTRAL_NORM_", "ACTIVITY_"))}
     assert named == defined
+
+
+def test_quoted_vertex_index_limit_matches():
+    text = README.read_text(encoding="utf-8")
+    quoted = re.search(r"Vertex indices stop at\s+(\d+)", text).group(1)
+    assert int(quoted) == graph.MAX_VERTICES - 1
