@@ -49,7 +49,10 @@ def activity(snapshot: SnapshotMatrix) -> Embedding:
     eigenvector.  Starting from a positive vector keeps every iterate
     nonnegative, so the result needs no sign cleanup beyond normalization.
     Each product W v is summed over the stored edges, so a step costs
-    O(edges), not O(n^2).
+    O(edges), not O(n^2).  It is binned by column: with W symmetric and the
+    edges sorted by row, bin i still adds row i's terms in column order.
+    The whole step is compared only once the entry that moved most at the
+    last whole comparison has settled; a step that stops always has.
 
     Raises:
         EmptyGraph: the snapshot has no edges.
@@ -61,12 +64,16 @@ def activity(snapshot: SnapshotMatrix) -> Embedding:
     n = snapshot.n
     shift = float(np.bincount(r, weights=a, minlength=n).max())
     v = np.full(n, 1.0 / np.sqrt(n))
+    probe = 0
     for _ in range(ACTIVITY_MAX_ITER):
-        w = np.bincount(r, weights=a * v[c], minlength=n) + shift * v
+        w = np.bincount(c, weights=a * v[r], minlength=n) + shift * v
         w /= math.sqrt(w.dot(w))  # np.linalg.norm(w), bit for bit
-        if np.abs(w - v).max() <= ACTIVITY_TOL:
-            v = w
-            break
+        if abs(w[probe] - v[probe]) <= ACTIVITY_TOL:
+            gap = np.abs(w - v)
+            probe = gap.argmax()
+            if gap[probe] <= ACTIVITY_TOL:
+                v = w
+                break
         v = w
     else:
         raise NotConverged(

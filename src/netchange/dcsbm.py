@@ -64,7 +64,7 @@ class DcsbmModel:
             raise InvalidProbability("block matrix entries must lie in [0, 1]")
         if not np.array_equal(B, B.T):
             raise ValueError("block matrix must be symmetric")
-        constant = tuple(int(b) for b in self.constant_theta)
+        constant = tuple(checked_int("constant-theta block", b) for b in self.constant_theta)
         if any(not 0 <= b < k for b in constant):
             raise ValueError(f"constant-theta blocks must lie in 0..{k - 1}, got {constant}")
         object.__setattr__(self, "g", g)

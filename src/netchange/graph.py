@@ -98,7 +98,7 @@ class SnapshotMatrix:
         for a in (rows, cols, weights):
             a.flags.writeable = False
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", checked_int("t", t, least=1))
         object.__setattr__(self, "edges", (rows, cols, weights))
 
     @property

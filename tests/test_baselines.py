@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,41 @@ def dense_activity(snapshot):
     if v.sum() < 0:
         v = -v
     return v
+
+
+def hub_graph(n, seed, hub=37, spokes=64):
+    """Sparse graph with one vertex joined to `spokes` others, all weights non-integer."""
+    rng = np.random.default_rng(seed)
+    W = np.triu((rng.random((n, n)) < 0.05) * rng.uniform(0.1, 3.0, (n, n)), k=1)
+    W = W + W.T
+    others = rng.choice(np.setdiff1d(np.arange(n), hub), size=spokes, replace=False)
+    W[hub, others] = W[others, hub] = rng.uniform(0.1, 3.0, spokes)
+    return SnapshotMatrix(W=W)
+
+
+def relabelled(snapshot, seed):
+    """The same graph with its vertices renumbered by a random permutation."""
+    perm = np.random.default_rng(seed).permutation(snapshot.n)
+    rows, cols, weights = snapshot.edges
+    return SnapshotMatrix.from_edges(snapshot.n, perm[rows], perm[cols], weights, snapshot.t)
+
+
+def row_order_activity(snapshot):
+    """Reference: the sparse power iteration binned by row, fully stop-tested every step.
+
+    Returns the converged vector and the number of steps taken.
+    """
+    r, c, a = baselines._mirrored_edges(snapshot)
+    n = snapshot.n
+    shift = float(np.bincount(r, weights=a, minlength=n).max())
+    v = np.full(n, 1.0 / np.sqrt(n))
+    for step in range(1, baselines.ACTIVITY_MAX_ITER + 1):
+        w = np.bincount(r, weights=a * v[c], minlength=n) + shift * v
+        w /= math.sqrt(w.dot(w))
+        if np.abs(w - v).max() <= baselines.ACTIVITY_TOL:
+            return w, step
+        v = w
+    raise AssertionError("reference power iteration did not converge")
 
 
 def column(u, t):
@@ -145,6 +182,21 @@ class TestActivity:
         snap, isolated = sparse_graph(60, seed=3)
         u = activity(snap).X[:, 0]
         assert np.unique(u[isolated]).size == 1
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["native", "relabelled"])
+    @pytest.mark.parametrize("graph", [*range(6), "hub"])
+    def test_bit_identical_to_row_order_sum(self, graph, relabel, monkeypatch):
+        # column binning adds each row's terms in the row's own order, and
+        # the probe stop test stops at the step a full test would
+        snap = hub_graph(90, seed=4) if graph == "hub" else sparse_graph(60, seed=graph)[0]
+        if relabel:
+            snap = relabelled(snap, seed=11)
+        expected, steps = row_order_activity(snap)
+        monkeypatch.setattr(baselines, "ACTIVITY_MAX_ITER", steps)
+        assert np.array_equal(activity(snap).X[:, 0], expected)
+        monkeypatch.setattr(baselines, "ACTIVITY_MAX_ITER", steps - 1)
+        with pytest.raises(NotConverged):
+            activity(snap)
 
     def test_non_convergence_names_instant(self, monkeypatch):
         monkeypatch.setattr(baselines, "ACTIVITY_MAX_ITER", 3)

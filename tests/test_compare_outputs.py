@@ -39,10 +39,11 @@ def test_commands_cover_every_method_seed_and_input():
     tool = load_tool()
     names = [name for name, _argv in tool.runs()]
     assert names[0] == "simulate"
-    assert len(names) == len(set(names)) == 1 + 3 * 2 * 2 + 2 + 1 + 4 + 2 * 2
+    assert len(names) == len(set(names)) == 1 + 3 * 2 * 2 + 2 + 1 + 4 + 2 * (1 + 3) == 28
     assert "detect-actm-seed5-relabelled" in names
     assert "detect-act-seed0-commented" in names
     assert "detect-act-seed0-config" in names
     assert dict(tool.runs())["detect-act-seed0-simulate"][3:] == tool.CONFIG
     assert "evaluate-n300-seed3" in names
-    assert names.index("simulate-n90-seed1") < names.index("detect-cdp-seed1-n90")
+    for method in ("cdp", "act", "actm"):
+        assert names.index("simulate-n90-seed1") < names.index(f"detect-{method}-seed1-n90")

@@ -96,6 +96,24 @@ class TestSampleTheta:
         with pytest.raises(ValueError, match=r"constant-theta blocks must lie in 0\.\.2"):
             DcsbmModel(model.g, model.B, (block,))
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (0.7, "constant-theta block must be an integer, got 0.7"),
+            (True, "constant-theta block must be an integer, got True"),
+        ],
+        ids=["0.7", "True"],
+    )
+    def test_constant_block_must_be_an_integer(self, block, message):
+        model = toy_model()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DcsbmModel(model.g, model.B, (block,))
+
+    def test_numpy_integer_constant_blocks_stored_as_ints(self):
+        model = toy_model()
+        model = DcsbmModel(model.g, model.B, (np.int64(1),))
+        assert model.constant_theta == (1,) and type(model.constant_theta[0]) is int
+
     def test_power_law_ccdf_slope(self):
         draws = sample_power_law(100_000, np.random.default_rng(7))
         assert ccdf_slope(draws) == pytest.approx(-1.5, abs=0.05)

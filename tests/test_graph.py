@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,6 +172,31 @@ class TestSnapshotMatrix:
         assert weights.tolist() == [3.0, 2.0, 1.0]
         with pytest.raises(ValueError, match=f"needs 2 to {n} vertices, got n={n + 1}"):
             SnapshotMatrix.from_edges(n + 1, [0], [1], [1.0])
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (1.5, "t must be an integer, got 1.5"),
+            (True, "t must be an integer, got True"),
+            (0, "t must be >= 1, got 0"),
+        ],
+        ids=["1.5", "True", "0"],
+    )
+    @pytest.mark.parametrize("build", ["dense", "from_edges"])
+    def test_time_index_must_be_a_positive_integer(self, build, t, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if build == "dense":
+                SnapshotMatrix(np.ones((2, 2)), t=t)
+            else:
+                SnapshotMatrix.from_edges(3, [0], [1], [1.0], t=t)
+
+    @pytest.mark.parametrize("build", ["dense", "from_edges"])
+    def test_numpy_integer_time_index_stored_as_int(self, build):
+        if build == "dense":
+            snap = SnapshotMatrix(np.ones((2, 2)), t=np.int64(4))
+        else:
+            snap = SnapshotMatrix.from_edges(3, [0], [1], [1.0], t=np.int64(4))
+        assert snap.t == 4 and type(snap.t) is int
 
 
 class TestLogTransform:

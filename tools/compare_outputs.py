@@ -17,9 +17,11 @@ thread (``OPENBLAS_NUM_THREADS=1``):
 - ``evaluate`` as the benchmark's ``evaluate-n300`` workload runs it, at
   ``--seed 0`` to ``3``;
 - ``simulate`` of the same scenario at ``--scale 0.1`` (n=90), seeds 0 and
-  1, and cdp ``detect`` on each at the matching ``--seed``: the sequences of
-  the tier-1 fingerprint test, where the rank search keeps d=7-35 and one
-  flipped-norm power iteration stops at its sweep cap (seed 1).
+  1, and cdp, act and actm ``detect`` on each at the matching ``--seed``: the
+  sequences of the tier-1 fingerprint test, where the rank search keeps
+  d=7-35 and one flipped-norm power iteration stops at its sweep cap
+  (seed 1).  They are also the sparsest committed sequences for the activity
+  power iteration: about two thirds of the vertices of a snapshot are isolated.
 
 Every output file except ``manifest.json`` and ``timings.csv``, which hold
 timings, is compared byte for byte.  One line is printed per file; the exit
@@ -77,9 +79,10 @@ def runs() -> list[tuple[str, list[str]]]:
     for seed in ("0", "1"):
         out += [(f"simulate-n90-seed{seed}",
                  ["simulate", *SEQUENCE, "--scale", "0.1", "--seed", seed]),
-                (f"detect-cdp-seed{seed}-n90",
-                 ["detect", "--input", f"simulate-n90-seed{seed}/sequence.tsv", "--method", "cdp",
-                  *DETECT, "--seed", seed])]
+                *((f"detect-{method}-seed{seed}-n90",
+                   ["detect", "--input", f"simulate-n90-seed{seed}/sequence.tsv",
+                    "--method", method, *DETECT, "--seed", seed])
+                  for method in ("cdp", "act", "actm"))]
     return out
 
 
