@@ -83,14 +83,17 @@ def activity(snapshot: SnapshotMatrix) -> Embedding:
     return Embedding(X=v[:, None], t=snapshot.t)
 
 
-def _window_basis(window: list[Embedding]) -> tuple[np.ndarray, int]:
-    """Left singular vectors of the stacked window, truncated at numerical rank."""
-    A = np.hstack([a.X for a in window])
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return U[:, :0], 0
-    rank = int(np.count_nonzero(s > WINDOW_RANK_TOL * s[0]))
-    return U[:, :rank], rank
+def _window_basis(window: list[Embedding]) -> np.ndarray:
+    """Left singular vectors of the stacked window, truncated at numerical rank.
+
+    The one empty-window check of `act_scores` and `actm_scores`.  A window
+    of zero vectors, or of members with no rows or columns, has rank 0 and
+    so an empty basis.
+    """
+    if not window:
+        raise ValueError("window must contain at least one activity vector")
+    U, s, _ = np.linalg.svd(np.hstack([a.X for a in window]), full_matrices=False)
+    return U[:, : int(np.count_nonzero(s > WINDOW_RANK_TOL * s.max(initial=0.0)))]
 
 
 def act_scores(window: list[Embedding], current: Embedding) -> np.ndarray:
@@ -101,14 +104,12 @@ def act_scores(window: list[Embedding], current: Embedding) -> np.ndarray:
     The direction's sign is fixed to point toward the current vector, since
     an absolute difference is meaningless under sign ambiguity.
     """
-    if not window:
-        raise ValueError("window must contain at least one activity vector")
     u = current.X[:, 0]
     if len(window) == 1:
         r = window[0].X[:, 0]
     else:
-        basis, rank = _window_basis(window)
-        if rank == 0:
+        basis = _window_basis(window)
+        if basis.shape[1] == 0:
             raise ValueError("window of zero vectors has no leading direction")
         r = basis[:, 0]
     if float(r @ u) < 0:
@@ -123,9 +124,7 @@ def actm_scores(window: list[Embedding], current: Embedding) -> np.ndarray:
     current vector in that subspace; only basis vectors above the numerical
     rank cutoff participate.
     """
-    if not window:
-        raise ValueError("window must contain at least one activity vector")
-    basis, _rank = _window_basis(window)
+    basis = _window_basis(window)
     u = current.X[:, 0]
     projected = basis @ (basis.T @ u)
     return np.abs(projected - u)

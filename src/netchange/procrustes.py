@@ -126,12 +126,10 @@ def profile_embedding(window: list[Embedding]) -> Embedding:
 def change_scores(current: Embedding, profile: Embedding) -> np.ndarray:
     """Per-vertex dissimilarity between an embedding and its window profile.
 
-    The pair is aligned by `gpa_align`; the score of vertex i is the
-    squared distance between its aligned rows, divided by the Frobenius
-    norm of the pair mean.
+    The pair is aligned by `gpa_align`, which also rejects unequal row
+    counts; the score of vertex i is the squared distance between its
+    aligned rows, divided by the Frobenius norm of the pair mean.
     """
-    if current.n != profile.n:
-        raise ValueError(f"row mismatch: {current.n} vs {profile.n}")
     result = gpa_align([current.X, profile.X])
     current_hat, profile_hat = result.aligned
     gaps = np.sum((current_hat - profile_hat) ** 2, axis=1)

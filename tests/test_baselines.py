@@ -229,8 +229,29 @@ class TestActScores:
         z = act_scores(vectors, current)
         assert np.abs(z - expected).max() < 1e-8
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="window must contain at least one activity vector"):
+            act_scores([], column(np.ones(4), t=1))
+
+    @pytest.mark.parametrize("width", [1, 0])
+    def test_zero_window_has_no_leading_direction(self, width):
+        window = [Embedding(X=np.zeros((5, width)), t=t) for t in (1, 2)]
+        with pytest.raises(ValueError, match="window of zero vectors has no leading direction"):
+            act_scores(window, column(unit(np.arange(1.0, 6.0)), t=3))
+
 
 class TestActmScores:
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="window must contain at least one activity vector"):
+            actm_scores([], column(np.ones(4), t=1))
+
+    @pytest.mark.parametrize("width", [1, 0])
+    def test_zero_window_keeps_magnitudes_exactly(self, width):
+        """The basis of a zero window is empty, so the projection is 0."""
+        window = [Embedding(X=np.zeros((5, width)), t=t) for t in (1, 2)]
+        u = unit(np.array([0.3, -1.0, 0.0, 2.5, 0.7]))
+        assert np.array_equal(actm_scores(window, column(u, t=3)), np.abs(u))
+
     def test_current_in_span_scores_zero(self):
         rng = np.random.default_rng(6)
         a = unit(rng.random(10))

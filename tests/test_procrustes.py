@@ -345,6 +345,13 @@ class TestChangeScores:
         z = change_scores(Embedding(X=bumped, t=2), Embedding(X=X, t=1))
         assert int(np.argmax(z)) == 7
 
+    def test_row_mismatch_rejected_before_pre_shape(self):
+        rng = np.random.default_rng(4)
+        # the constant embedding would raise DegenerateShape if it were pre-shaped first
+        with pytest.raises(ValueError, match="row mismatch"):
+            change_scores(Embedding(X=np.full((5, 2), 1.5), t=2),
+                          Embedding(X=rng.standard_normal((4, 3)), t=1))
+
 
 class TestScoreInvariances:
     def setup_method(self):

@@ -10,6 +10,10 @@ thread (``OPENBLAS_NUM_THREADS=1``):
   sequence and on a copy relabelled by ``bench/run.py``'s ``relabel`` (seed 1);
 - cdp and act ``detect`` at ``--seed 0`` on a copy of that sequence with one
   ``# x`` comment line appended;
+- cdp, act and actm ``detect`` at ``--seed 0`` on a copy of that sequence with
+  one self-loop per instant appended (``t 7t 7t`` of weight ``t % 3 + 1``):
+  the simulator writes no diagonal entry, so these are the only runs whose
+  activity vectors and representation matrices carry one;
 - act ``detect`` on that sequence with its ``--method``, ``--window``,
   ``--epsilon``, ``--threshold`` and ``--seed`` (those of the act ``--seed 0``
   run above) read from ``detect.cfg``, a ``--config`` file with a comment
@@ -69,9 +73,12 @@ def runs() -> list[tuple[str, list[str]]]:
                 out.append((f"detect-{method}-seed{seed}-{source}",
                             ["detect", "--input", f"{source}/sequence.tsv", "--method", method,
                              *DETECT, "--seed", seed]))
-    out += [(f"detect-{method}-seed0-commented",
-             ["detect", "--input", "commented/sequence.tsv", "--method", method,
-              *DETECT, "--seed", "0"]) for method in ("cdp", "act")]
+    out += [(f"detect-{method}-seed0-{source}",
+             ["detect", "--input", f"{source}/sequence.tsv", "--method", method,
+              *DETECT, "--seed", "0"])
+            for source, methods in (("commented", ("cdp", "act")),
+                                    ("selfloops", ("cdp", "act", "actm")))
+            for method in methods]
     out.append(("detect-act-seed0-config",
                 ["detect", "--input", "simulate/sequence.tsv", "--config", "detect.cfg"]))
     out += [(f"evaluate-n300-seed{seed}", ["evaluate", *EVALUATE, "--seed", str(seed)])
@@ -99,6 +106,9 @@ def run_all(checkout: Path, work: Path, relabel) -> None:
             (work / "commented").mkdir()
             text = (work / "simulate" / "sequence.tsv").read_text(encoding="utf-8")
             (work / "commented" / "sequence.tsv").write_text(text + "# x\n", encoding="utf-8")
+            (work / "selfloops").mkdir()
+            loops = "".join(f"{t} {7 * t} {7 * t} {t % 3 + 1}\n" for t in range(1, 31))
+            (work / "selfloops" / "sequence.tsv").write_text(text + loops, encoding="utf-8")
             lines = ["# the flags of detect-act-seed0-simulate"]
             lines += [f"{flag[2:]} = {value}" for flag, value in zip(CONFIG[::2], CONFIG[1::2])]
             (work / "detect.cfg").write_bytes("".join(f"{line}\r\n" for line in lines).encode())
