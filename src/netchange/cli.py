@@ -190,9 +190,11 @@ def _format_weight(w: float) -> str:
 def write_sequence(path: str | Path, snapshots: list[SnapshotMatrix]) -> None:
     """Write snapshots as a sorted edge list, one snapshot's lines at a time.
 
-    Zero entries are omitted; a sequence with no edges at all is written as
-    one blank line.
+    Zero entries are omitted.  An instant with no edges would have no line and
+    read back as missing, so it is refused, naming its t, before the file opens.
     """
+    if empty := [snap.t for snap in snapshots if not snap.edges[0].size]:
+        raise FormatError(f"snapshot t={empty[0]} has no edges; an edge list cannot hold it")
     with open(path, "w", encoding="utf-8") as handle:
         for snap in snapshots:
             rows, cols, weights = snap.edges
@@ -202,8 +204,6 @@ def write_sequence(path: str | Path, snapshots: list[SnapshotMatrix]) -> None:
                     for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
                 )
             )
-        if handle.tell() == 0:
-            handle.write("\n")
 
 
 def write_ground_truth(path: str | Path, spec: ScenarioSpec) -> None:

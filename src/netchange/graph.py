@@ -29,7 +29,8 @@ class SnapshotMatrix:
     """One weighted adjacency matrix of the dynamic network.
 
     Built from a dense matrix, `SnapshotMatrix(W, t)`, or from an edge list,
-    `SnapshotMatrix.from_edges(n, rows, cols, weights, t)`.
+    `SnapshotMatrix.from_edges(n, rows, cols, weights, t)`.  Both run the
+    same checks; the dense form adds only that W is square and symmetric.
 
     Attributes:
         n: number of vertices.
@@ -46,16 +47,11 @@ class SnapshotMatrix:
         W = np.asarray(W, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {W.shape}")
-        if W.shape[0] < 2:
-            raise ValueError("a snapshot needs at least 2 vertices")
-        if not np.all(np.isfinite(W)):
-            raise InvalidWeight("edge weights must be finite")
-        if np.any(W < 0):
-            raise InvalidWeight("edge weights must be nonnegative")
-        if not np.array_equal(W, W.T):
+        # equal_nan lets a symmetric NaN through to the weight check below
+        if not np.array_equal(W, W.T, equal_nan=True):
             raise NotSymmetric("adjacency matrix must be symmetric")
         rows, cols = np.nonzero(np.triu(W))
-        self._store(W.shape[0], rows, cols, W[rows, cols], t)
+        self._init(W.shape[0], rows, cols, W[rows, cols], t)
 
     @classmethod
     def from_edges(
@@ -63,10 +59,15 @@ class SnapshotMatrix:
     ) -> SnapshotMatrix:
         """Snapshot from an undirected edge list, without a dense matrix.
 
-        Each vertex pair appears at most once, in either orientation; pairs
-        not listed and zero weights are absent edges.  Vertex indices must
-        have an integer dtype (not bool); an empty list is accepted.
+        Each vertex pair appears at most once, in either orientation; unlisted
+        pairs and zero weights are absent edges.  Indices need an integer dtype
+        (not bool); an empty list is accepted.  The dense form checks the same.
         """
+        snap = cls.__new__(cls)
+        snap._init(n, rows, cols, weights, t)
+        return snap
+
+    def _init(self, n, rows, cols, weights, t) -> None:
         rows, cols = np.asarray(rows), np.asarray(cols)
         if any(a.size and not np.issubdtype(a.dtype, np.integer) for a in (rows, cols)):
             raise ValueError("vertex indices must be integers")
@@ -90,16 +91,12 @@ class SnapshotMatrix:
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("a vertex pair is listed more than once")
-        snap = cls.__new__(cls)
-        snap._store(n, *np.divmod(key, n), weights[order], t)
-        return snap
-
-    def _store(self, n, rows, cols, weights, t) -> None:
-        for a in (rows, cols, weights):
+        edges = (*np.divmod(key, n), weights[order])
+        for a in edges:
             a.flags.writeable = False
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", checked_int("t", t, least=1))
-        object.__setattr__(self, "edges", (rows, cols, weights))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def W(self) -> np.ndarray:

@@ -161,13 +161,15 @@ class TestIngest:
         write_sequence(second, ingest_sequence(first))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_edgeless_sequence_written_reads_as_no_edges(self, tmp_path):
+    def test_edgeless_instant_refused_before_writing(self, tmp_path):
+        # an edge list has no line for it, so it would read back as a missing instant
         path = tmp_path / "x.tsv"
-        write_sequence(path, [SnapshotMatrix(W=np.zeros((3, 3)), t=t) for t in (1, 2)])
-        assert path.read_text() == "\n"
+        snaps = [SnapshotMatrix.from_edges(3, [0], [1], [1.0], t=1)]
+        snaps += [SnapshotMatrix(W=np.zeros((3, 3)), t=t) for t in (2, 3)]
         with pytest.raises(FormatError) as caught:
-            ingest_sequence(path)
-        assert str(caught.value) == "x.tsv: no edges found"
+            write_sequence(path, snaps)
+        assert str(caught.value) == "snapshot t=2 has no edges; an edge list cannot hold it"
+        assert not path.exists()
 
     def test_ingest_holds_edges_not_dense_snapshots(self, tmp_path):
         n, T = 400, 20
@@ -477,6 +479,16 @@ class TestSimulateCommand:
     def test_ground_truth_of_numpy_integer_T(self, tmp_path):
         write_ground_truth(tmp_path / "truth.json", scenario("split", T=np.int64(24), scale=0.1))
         assert '"T": 24,' in (tmp_path / "truth.json").read_text()
+
+    def test_edgeless_draw_fails_in_write_and_leaves_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--scenario", "group-change", "--scale", "0.01", "--T", "22"]
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "netchange simulate: stage 'write' failed: "
+            "snapshot t=1 has no edges; an edge list cannot hold it\n"
+        )
+        assert not out.exists()
 
     def test_unknown_scenario_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""tools/compare_outputs.py: its file comparison and its command list."""
+"""tools/compare_outputs.py: its file comparison, its command list and its line count."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +48,14 @@ def test_commands_cover_every_method_seed_and_input():
     for method in ("cdp", "act", "actm"):
         assert names.index("simulate") < names.index(f"detect-{method}-seed0-selfloops")
         assert names.index("simulate-n90-seed1") < names.index(f"detect-{method}-seed1-n90")
+
+
+def test_source_lines_counts_package_modules_only(tmp_path):
+    for root, body in ((tmp_path / "before", "a\nb\nc\n"), (tmp_path / "after", "a\n")):
+        write(root, "src/netchange/graph.py", body)
+        write(root, "src/netchange/cli.py", "x\ny\n")
+        write(root, "src/netchange/notes.txt", "not\ncounted\n")
+        write(root, "tests/test_graph.py", "not\ncounted\n")
+    tool = load_tool()
+    assert tool.source_lines(tmp_path / "before") == 5
+    assert tool.source_lines(tmp_path / "after") == 3

@@ -51,6 +51,15 @@ def composed_steps(W):
     return (M + M.T) / 2.0
 
 
+def build_snapshot(build, W, t=1):
+    """`SnapshotMatrix(W, t)`, or `from_edges` on the nonzero upper triangle of W."""
+    W = np.asarray(W, dtype=float)
+    if build == "dense":
+        return SnapshotMatrix(W, t=t)
+    rows, cols = np.nonzero(np.triu(W))
+    return SnapshotMatrix.from_edges(len(W), rows, cols, W[rows, cols], t=t)
+
+
 def path_matrix(a, b):
     """The 3-vertex path 0 - 1 - 2 with edge weights a and b, as a snapshot."""
     return SnapshotMatrix(W=np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]))
@@ -64,6 +73,8 @@ class TestSnapshotMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             SnapshotMatrix(W=np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(NotSymmetric):  # symmetry is checked before the weights
+            SnapshotMatrix(W=np.array([[0.0, np.nan], [1.0, 0.0]]))
 
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
@@ -185,18 +196,28 @@ class TestSnapshotMatrix:
     @pytest.mark.parametrize("build", ["dense", "from_edges"])
     def test_time_index_must_be_a_positive_integer(self, build, t, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            if build == "dense":
-                SnapshotMatrix(np.ones((2, 2)), t=t)
-            else:
-                SnapshotMatrix.from_edges(3, [0], [1], [1.0], t=t)
+            build_snapshot(build, np.ones((2, 2)), t=t)
 
     @pytest.mark.parametrize("build", ["dense", "from_edges"])
     def test_numpy_integer_time_index_stored_as_int(self, build):
-        if build == "dense":
-            snap = SnapshotMatrix(np.ones((2, 2)), t=np.int64(4))
-        else:
-            snap = SnapshotMatrix.from_edges(3, [0], [1], [1.0], t=np.int64(4))
+        snap = build_snapshot(build, np.ones((2, 2)), t=np.int64(4))
         assert snap.t == 4 and type(snap.t) is int
+
+    @pytest.mark.parametrize(
+        "W, error, message",
+        [
+            ([[0.0]], ValueError, f"a snapshot needs 2 to {MAX_VERTICES} vertices, got n=1"),
+            ([[0.0, np.nan], [np.nan, 0.0]], InvalidWeight, "edge weights must be finite"),
+            ([[np.inf, 1.0], [1.0, 0.0]], InvalidWeight, "edge weights must be finite"),
+            ([[0.0, -1.0], [-1.0, 0.0]], InvalidWeight, "edge weights must be nonnegative"),
+        ],
+        ids=["n=1", "nan", "inf", "negative"],
+    )
+    @pytest.mark.parametrize("build", ["dense", "from_edges"])
+    def test_both_constructors_state_one_rule_alike(self, build, W, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+            build_snapshot(build, W)
+        assert type(caught.value) is error
 
 
 class TestLogTransform:

@@ -30,7 +30,9 @@ thread (``OPENBLAS_NUM_THREADS=1``):
 Every output file except ``manifest.json`` and ``timings.csv``, which hold
 timings, is compared byte for byte.  One line is printed per file; the exit
 status is 1 if any file differs or is missing on one side, or if a command
-fails.
+fails.  After the file lines, one line gives each checkout's
+``src/netchange/*.py`` line count, the package size ROADMAP tracks; it does
+not enter the exit status.
 """
 
 from __future__ import annotations
@@ -131,6 +133,11 @@ def compare(before: Path, after: Path) -> int:
     return bad
 
 
+def source_lines(checkout: Path) -> int:
+    """Lines of `checkout`'s `src/netchange/*.py`, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "netchange").glob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", type=Path, help="checkout whose outputs are the reference")
@@ -145,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
             (work / side).mkdir(parents=True)
             run_all(checkout.resolve(), work / side, relabel)
         bad = compare(work / "before", work / "after")
+        print(f"src/netchange/*.py: {source_lines(args.before)} -> "
+              f"{source_lines(args.after)} lines")
     except subprocess.CalledProcessError as exc:
         print(f"command failed: {' '.join(exc.cmd)}", file=sys.stderr)
         return 1
